@@ -121,7 +121,7 @@ def identify(
     if pre_emphasis:
         samples = buffer.samples
         filtered = np.concatenate(
-            ([samples[0]], samples[1:] - pre_emphasis * samples[:-1])
+            (samples[:1], samples[1:] - pre_emphasis * samples[:-1])
         )
         buffer = AudioBuffer(filtered, buffer.sample_rate)
     spec = stft(buffer, window_size, hop)

@@ -1,20 +1,83 @@
 """Note-activation recovery: non-negative least squares per analysis frame.
 
-Thin wrapper over the batched kernel in ``tonnetzlab.kernels`` (compiled when
-available, numpy otherwise). Frames are independent, so a batch solve is just
-the per-frame solve applied row by row; results do not depend on batch order.
+Minimizes ||D a - f||_2 over a >= 0 for every frame f, given the Gram matrix
+G = D^T D, the correlations h = D^T f and ||f||^2 per frame. Projected
+gradient with the fixed step 1/L (L the largest eigenvalue of G) keeps the
+residual monotone non-increasing. A frame stops when its relative residual
+improvement drops below ``tol``, when its residual reaches zero, or after
+``max_iter`` steps. The residual is evaluated as sqrt(a.G.a - 2 a.h + ||f||^2),
+so the loop never needs the dictionary itself.
+
+Frames are independent, so the loop updates all frames that have not stopped
+yet as one numpy batch. A frame leaves the batch at the iteration where its
+own stopping test fires, and zero-energy frames never enter it, so each frame
+takes exactly the steps it would take alone. The arithmetic stays per frame
+too: G.a is a stack of matrix-vector products, and a.G.a and a.h are stacks
+of dot products. One matrix product over the batch (a @ G) would be faster
+but rounds differently, by about 1e-13, and would tie a frame's result to the
+batch it is solved in. As it is, ``nnls_batch`` gives every row bit for bit
+the result it gives that row alone, in any batch and any order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .. import kernels
-from ..kernels._nnls_py import nnls_solve_one
 from .dictionary import NoteDictionary
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 500
+
+
+def _rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of ``a`` with the same row of ``b``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def nnls_batch(
+    gram: np.ndarray,
+    targets: np.ndarray,
+    target_sq_norms: np.ndarray,
+    step_bound: float,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    residual_history: list[float] | None = None,
+) -> np.ndarray:
+    """Solve NNLS for every row of ``targets`` (the h of each frame).
+
+    Returns the activations, one row per target. ``residual_history``, when
+    given, receives the residual before the first step and after every step;
+    it needs a batch of one row.
+    """
+    out = np.zeros_like(targets)
+    r_prev = np.sqrt(np.maximum(target_sq_norms, 0.0))
+    if residual_history is not None:
+        if len(targets) != 1:
+            raise ValueError("residual_history needs a batch of one row")
+        residual_history.append(float(r_prev[0]))
+    rows = np.flatnonzero(r_prev != 0.0)
+    h = targets[rows]
+    f2 = target_sq_norms[rows]
+    r_prev = r_prev[rows]
+    x = np.zeros_like(h)
+    q = np.zeros_like(h)  # gram @ x per row, carried across iterations
+    for _ in range(max_iter):
+        if not len(rows):
+            break
+        x = np.maximum(0.0, x - (q - h) / step_bound)
+        q = (gram @ x[:, :, None])[:, :, 0]
+        r = np.sqrt(np.maximum(_rowwise_dot(x, q) - 2.0 * _rowwise_dot(x, h) + f2, 0.0))
+        if residual_history is not None:
+            residual_history.append(float(r[0]))
+        stopped = (r == 0.0) | ((r_prev - r) / r_prev < tol)
+        if stopped.any():
+            out[rows[stopped]] = x[stopped]
+            going = ~stopped
+            rows, x, q, h = rows[going], x[going], q[going], h[going]
+            f2, r = f2[going], r[going]
+        r_prev = r
+    out[rows] = x  # the frames that used up max_iter
+    return out
 
 
 def nnls_activations_batch(
@@ -23,14 +86,16 @@ def nnls_activations_batch(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> np.ndarray:
-    """Activations (n_frames, notes) approximately minimizing ||D a - f||, a >= 0."""
+    """Activations (n_frames, notes) approximately minimizing ||D a - f||, a >= 0.
+
+    The correlations h come from one matrix product over all ``frames``, whose
+    rounding can depend on how many frames it holds; the solve itself cannot.
+    """
     frames = np.ascontiguousarray(frames, dtype=np.float64)
     gram = np.ascontiguousarray(dictionary.gram())
     targets = np.ascontiguousarray(frames @ dictionary.profiles)
     sq_norms = np.ascontiguousarray(np.sum(frames * frames, axis=1))
-    return kernels.nnls_batch(
-        gram, targets, sq_norms, dictionary.step_bound(), tol, max_iter
-    )
+    return nnls_batch(gram, targets, sq_norms, dictionary.step_bound(), tol, max_iter)
 
 
 def nnls_activations(
@@ -49,20 +114,21 @@ def nnls_residual_history(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[np.ndarray, list[float]]:
-    """Solve one frame recording ||D a - f|| at every iteration.
+    """Solve one frame recording ||D a - f|| before and after every iteration.
 
-    Always runs the numpy implementation; used to check solver properties
-    such as the monotone non-increasing residual.
+    Runs the same loop as ``nnls_activations_batch``, on a batch of one, so
+    ``len(history) == iterations + 1``; used to check solver properties such
+    as the monotone non-increasing residual.
     """
     frame = np.asarray(frame, dtype=np.float64)
     history: list[float] = []
-    activations = nnls_solve_one(
+    activations = nnls_batch(
         dictionary.gram(),
-        frame @ dictionary.profiles,
-        float(frame @ frame),
+        (frame @ dictionary.profiles)[None, :],
+        np.array([float(frame @ frame)]),
         dictionary.step_bound(),
         tol,
         max_iter,
         residual_history=history,
-    )
+    )[0]
     return activations, history

@@ -18,6 +18,10 @@ class TooShort(ValueError):
     """The buffer is shorter than one analysis window."""
 
 
+class SampleRateTooLow(ValueError):
+    """The sample rate is too low to resolve the note range."""
+
+
 def midi_frequency(note: float) -> float:
     """12-TET frequency with A4 = 440 Hz."""
     return 440.0 * 2.0 ** ((note - 69) / 12.0)
@@ -86,7 +90,10 @@ def log_freq_map(spec: Spectrogram) -> np.ndarray:
     at the note's 12-TET frequency. Returns (n_frames, 73).
     """
     if spec.sample_rate < 8000:
-        raise ValueError("sample rate below 8 kHz cannot resolve the note range")
+        raise SampleRateTooLow(
+            f"sample rate {spec.sample_rate} Hz is below 8 kHz "
+            "and cannot resolve the note range"
+        )
     return spec.frames @ _semitone_weights(spec).T
 
 

@@ -26,6 +26,7 @@ from .chroma import (
     load_wav,
     render_spectrogram_ppm,
 )
+from .chroma.spectral import SampleRateTooLow, TooShort as AudioTooShort
 from .harmony import ChordSyntaxError, Key, parse_pitch_class, pitch_class_name
 from .lattice import embed_path, render_tonnetz_svg
 from .rhythm import (
@@ -249,6 +250,8 @@ def main(argv: list[str] | None = None) -> int:
         UnknownSection,
         UnsupportedFormat,
         CorruptHeader,
+        AudioTooShort,
+        SampleRateTooLow,
         FileNotFoundError,
         IsADirectoryError,
         PermissionError,

@@ -5,6 +5,9 @@ import wave
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tonnetzlab.chroma import (
     AudioBuffer,
@@ -21,8 +24,13 @@ from tonnetzlab.chroma import (
     stft,
     write_wav,
 )
-from tonnetzlab.chroma.nnls import nnls_residual_history
-from tonnetzlab.chroma.spectral import LOW_NOTE, Spectrogram, TooShort
+from tonnetzlab.chroma.nnls import (
+    DEFAULT_MAX_ITER,
+    nnls_activations_batch,
+    nnls_batch,
+    nnls_residual_history,
+)
+from tonnetzlab.chroma.spectral import LOW_NOTE, SampleRateTooLow, Spectrogram, TooShort
 from tonnetzlab.chroma import synth
 from tonnetzlab.harmony import parse_chord_symbol
 
@@ -144,7 +152,7 @@ def test_log_freq_silence():
 def test_log_freq_rejects_low_sample_rate():
     spec = stft(AudioBuffer(np.zeros(8192), 22050))
     starved = Spectrogram(spec.frames, spec.frame_hop, spec.window_size, 4000)
-    with pytest.raises(ValueError):
+    with pytest.raises(SampleRateTooLow):
         log_freq_map(starved)
 
 
@@ -236,6 +244,159 @@ def test_nnls_scale_equivariant():
     for c in (10.0, 0.25):
         scaled = nnls_activations(c * target, dictionary)
         assert np.max(np.abs(scaled - c * base)) <= 1e-5 * max(1.0, c) * base.max()
+
+
+def nnls_solve_one(
+    gram: np.ndarray,
+    target: np.ndarray,
+    target_sq_norm: float,
+    step_bound: float,
+    tol: float = 1e-6,
+    max_iter: int = 500,
+    residual_history: list[float] | None = None,
+) -> np.ndarray:
+    """Reference: the per-frame loop the batched solver must match bit for bit."""
+    n = gram.shape[0]
+    x = np.zeros(n)
+    q = np.zeros(n)  # gram @ x, carried across iterations
+    r_prev = math.sqrt(max(target_sq_norm, 0.0))
+    if residual_history is not None:
+        residual_history.append(r_prev)
+    if r_prev == 0.0:
+        return x
+    for _ in range(max_iter):
+        x = np.maximum(0.0, x - (q - target) / step_bound)
+        q = gram @ x
+        sq = float(x @ q - 2.0 * (x @ target) + target_sq_norm)
+        r = math.sqrt(max(sq, 0.0))
+        if residual_history is not None:
+            residual_history.append(r)
+        if r == 0.0 or (r_prev - r) / r_prev < tol:
+            break
+        r_prev = r
+    return x
+
+
+def _problem(frames: np.ndarray):
+    """Gram matrix, targets, squared norms and step bound, as the solver gets them."""
+    dictionary = build_note_dictionary()
+    frames = np.ascontiguousarray(frames, dtype=np.float64)
+    gram = np.ascontiguousarray(dictionary.gram())
+    targets = np.ascontiguousarray(frames @ dictionary.profiles)
+    sq_norms = np.ascontiguousarray(np.sum(frames * frames, axis=1))
+    return gram, targets, sq_norms, dictionary.step_bound()
+
+
+def _reference_batch(gram, targets, sq_norms, bound, max_iter=DEFAULT_MAX_ITER):
+    """Row-by-row reference solve; returns activations and iterations per row."""
+    out = np.zeros_like(targets)
+    iterations = []
+    for i in range(targets.shape[0]):
+        history: list[float] = []
+        out[i] = nnls_solve_one(
+            gram, targets[i], float(sq_norms[i]), bound, max_iter=max_iter,
+            residual_history=history,
+        )
+        iterations.append(len(history) - 1)
+    return out, iterations
+
+
+def test_nnls_batch_matches_reference_on_random_frames():
+    frames = np.abs(np.random.default_rng(21).standard_normal((12, 73)))
+    frames[4] = 0.0
+    gram, targets, sq_norms, bound = _problem(frames)
+    expected, _ = _reference_batch(gram, targets, sq_norms, bound)
+    assert np.array_equal(nnls_batch(gram, targets, sq_norms, bound), expected)
+
+
+def test_nnls_batch_matches_reference_on_acceptance_corpus():
+    tokens = ["A", "E7", "A", "f#", "A7", "D", "d", "A"]
+    buffer = synth.chord_sequence(
+        [parse_chord_symbol(t) for t in tokens],
+        seconds_each=2.0, harmonics=6, decay=0.8, noise_snr_db=30.0, seed=7,
+    )
+    frames = log_freq_map(stft(buffer))
+    frames[len(frames) // 2] = 0.0
+    gram, targets, sq_norms, bound = _problem(frames)
+    # these frames take 92-294 iterations: at 250 a few are cut off
+    max_iter = 250
+    expected, iterations = _reference_batch(gram, targets, sq_norms, bound, max_iter)
+    assert iterations[len(frames) // 2] == 0
+    assert 0 < min(it for it in iterations if it) < max(iterations) == max_iter
+    got = nnls_batch(gram, targets, sq_norms, bound, max_iter=max_iter)
+    assert np.array_equal(got, expected)
+
+
+def test_nnls_residual_history_matches_reference():
+    dictionary = build_note_dictionary()
+    for seed in (3, 17):
+        frame = np.abs(np.random.default_rng(seed).standard_normal(73))
+        expected: list[float] = []
+        reference = nnls_solve_one(
+            dictionary.gram(), frame @ dictionary.profiles, float(frame @ frame),
+            dictionary.step_bound(), residual_history=expected,
+        )
+        activations, history = nnls_residual_history(frame, dictionary)
+        assert history == expected
+        assert np.array_equal(activations, reference)
+    assert nnls_residual_history(np.zeros(73), dictionary)[1] == [0.0]
+
+
+def test_nnls_batch_satisfies_stationarity():
+    frames = np.abs(np.random.default_rng(0).standard_normal((6, 73)))
+    gram, targets, sq_norms, bound = _problem(frames)
+    # run well past the default stopping rule to probe the limit point
+    out = nnls_batch(gram, targets, sq_norms, bound, tol=1e-14, max_iter=20000)
+    grad = out @ gram - targets
+    # KKT: gradient ~0 on active coordinates, >= 0 where clamped at zero
+    active = out > 1e-9
+    assert np.abs(grad[active]).max() < 1e-3
+    assert grad[~active].min() > -1e-3
+    assert out.min() >= 0.0
+
+
+def test_batch_matches_per_frame_solve():
+    frames = np.abs(np.random.default_rng(2).standard_normal((4, 73)))
+    gram, targets, sq_norms, bound = _problem(frames)
+    batch = nnls_batch(gram, targets, sq_norms, bound)
+    for i in range(targets.shape[0]):
+        single = nnls_batch(gram, targets[i : i + 1], sq_norms[i : i + 1], bound)[0]
+        assert np.array_equal(batch[i], single)
+
+
+def test_nnls_empty_batch():
+    empty = nnls_activations_batch(np.zeros((0, 73)), build_note_dictionary())
+    assert empty.shape == (0, 73)
+
+
+@st.composite
+def _frame_batches(draw):
+    """0-40 non-negative frames, some rows all zero, and a permutation of them."""
+    count = draw(st.integers(0, 40))
+    frames = draw(hnp.arrays(np.float64, (count, 73), elements=st.floats(0.0, 100.0)))
+    frames[draw(hnp.arrays(np.bool_, count))] = 0.0
+    return frames, np.array(draw(st.permutations(range(count))), dtype=np.intp)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    batch=_frame_batches(),
+    # loose tolerances stop frames within 100 steps, the tight one at max_iter
+    tol=st.sampled_from([1e-2, 1e-3, 1e-6]),
+    max_iter=st.integers(1, 100),
+)
+def test_nnls_batch_rows_are_independent(batch, tol, max_iter):
+    frames, order = batch
+    gram, targets, sq_norms, bound = _problem(frames)
+    solved = nnls_batch(gram, targets, sq_norms, bound, tol, max_iter)
+    assert solved.shape == frames.shape
+    for i in range(len(frames)):
+        alone = nnls_batch(
+            gram, targets[i : i + 1], sq_norms[i : i + 1], bound, tol, max_iter
+        )
+        assert np.array_equal(solved[i], alone[0])
+    permuted = nnls_batch(gram, targets[order], sq_norms[order], bound, tol, max_iter)
+    assert np.array_equal(permuted, solved[order])
 
 
 # ----------------------------------------------------------- chroma + ID

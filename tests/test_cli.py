@@ -4,6 +4,7 @@ import json
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 
 from tonnetzlab.chroma import synth, write_wav
 from tonnetzlab.cli import main
@@ -149,6 +150,28 @@ def test_chord_id_truncated_wav(tmp_path, capsys):
     wav.write_bytes(b"RIFF\x00\x00\x00\x00WAVEfmt ")
     assert _run("chord-id", wav) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "samples, sample_rate, flags",
+    [
+        (np.zeros(0), 22050, []),  # empty
+        (np.zeros(4095), 22050, []),  # one sample short of a window
+        (np.zeros(0), 22050, ["--pre-emphasis", "0.9"]),
+        (np.zeros(8192), 4000, []),  # below 8 kHz
+    ],
+    ids=["empty", "shorter-than-window", "empty-pre-emphasis", "low-sample-rate"],
+)
+def test_chord_id_unanalysable_wav_is_a_one_line_error(
+    tmp_path, capsys, samples, sample_rate, flags
+):
+    wav = tmp_path / "unanalysable.wav"
+    write_wav(wav, samples, sample_rate)
+    assert _run("chord-id", wav, *flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("tonnetzlab: error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_render_outputs_byte_identical_across_runs(lead_chart_path, tmp_path):
