@@ -92,10 +92,11 @@ def nnls_activations_batch(
     rounding can depend on how many frames it holds; the solve itself cannot.
     """
     frames = np.ascontiguousarray(frames, dtype=np.float64)
-    gram = np.ascontiguousarray(dictionary.gram())
-    targets = np.ascontiguousarray(frames @ dictionary.profiles)
-    sq_norms = np.ascontiguousarray(np.sum(frames * frames, axis=1))
-    return nnls_batch(gram, targets, sq_norms, dictionary.step_bound(), tol, max_iter)
+    targets = frames @ dictionary.profiles
+    sq_norms = np.sum(frames * frames, axis=1)
+    return nnls_batch(
+        dictionary.gram(), targets, sq_norms, dictionary.step_bound(), tol, max_iter
+    )
 
 
 def nnls_activations(

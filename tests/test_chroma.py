@@ -281,10 +281,9 @@ def _problem(frames: np.ndarray):
     """Gram matrix, targets, squared norms and step bound, as the solver gets them."""
     dictionary = build_note_dictionary()
     frames = np.ascontiguousarray(frames, dtype=np.float64)
-    gram = np.ascontiguousarray(dictionary.gram())
-    targets = np.ascontiguousarray(frames @ dictionary.profiles)
-    sq_norms = np.ascontiguousarray(np.sum(frames * frames, axis=1))
-    return gram, targets, sq_norms, dictionary.step_bound()
+    targets = frames @ dictionary.profiles
+    sq_norms = np.sum(frames * frames, axis=1)
+    return dictionary.gram(), targets, sq_norms, dictionary.step_bound()
 
 
 def _reference_batch(gram, targets, sq_norms, bound, max_iter=DEFAULT_MAX_ITER):
