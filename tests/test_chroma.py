@@ -246,6 +246,8 @@ def test_nnls_scale_equivariant():
         assert np.max(np.abs(scaled - c * base)) <= 1e-5 * max(1.0, c) * base.max()
 
 
+# The per-frame loop that chroma.nnls.nnls_batch replaced, kept verbatim as the
+# reference the batched solver must match bit for bit.
 def nnls_solve_one(
     gram: np.ndarray,
     target: np.ndarray,
@@ -255,7 +257,7 @@ def nnls_solve_one(
     max_iter: int = 500,
     residual_history: list[float] | None = None,
 ) -> np.ndarray:
-    """Reference: the per-frame loop the batched solver must match bit for bit."""
+    """Solve one NNLS instance; optionally record the residual per iteration."""
     n = gram.shape[0]
     x = np.zeros(n)
     q = np.zeros(n)  # gram @ x, carried across iterations
