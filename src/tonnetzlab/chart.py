@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import TonnetzlabError
 from .harmony import (
     ChordSymbol,
     ChordSyntaxError,
@@ -40,7 +41,7 @@ from .harmony import (
 )
 
 
-class ChartError(ValueError):
+class ChartError(TonnetzlabError):
     """Base class for chart validation failures."""
 
 
@@ -117,7 +118,7 @@ def _strip_comment(line: str) -> str:
 
 def _parse_meter(text: str, line_no: int) -> int:
     head = text.split("/", 1)[0].strip()
-    if not head.isdigit() or int(head) < 1:
+    if not head.isdecimal() or int(head) < 1:
         raise ChartError(f"line {line_no}: bad meter {text!r}")
     return int(head)
 
@@ -127,7 +128,7 @@ def _parse_event(token: str, line_no: int, column: int, meter: int) -> ChordEven
     body = token[1:] if tied else token
     if ":" in body:
         chord_text, _, beats_text = body.partition(":")
-        if not beats_text.isdigit() or int(beats_text) < 1:
+        if not beats_text.isdecimal() or int(beats_text) < 1:
             raise ChordParseError(line_no, column, f"bad duration in {token!r}")
         duration = int(beats_text)
     else:
@@ -191,14 +192,16 @@ def parse_chart(text: str) -> ChartDocument:
 
         if meter is None:
             raise ChartError(f"line {line_no}: meter must be declared before sections")
+        end = 0  # where the previous token ends; a token's text can recur earlier
         for chunk in line.split("|"):
             tokens = chunk.split()
             if not tokens:
                 continue
             events: list[ChordEvent] = []
             for token in tokens:
-                column = raw.index(token) + 1
-                event = _parse_event(token, line_no, column, meter)
+                start = raw.index(token, end)
+                end = start + len(token)
+                event = _parse_event(token, line_no, start + 1, meter)
                 if event.tied:
                     if last_event is None:
                         raise BadTie(

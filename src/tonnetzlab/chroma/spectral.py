@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import TonnetzlabError
 from .wavio import AudioBuffer
 
 LOW_NOTE = 24  # C1
@@ -14,11 +15,11 @@ HIGH_NOTE = 96  # C7
 NOTE_COUNT = HIGH_NOTE - LOW_NOTE + 1
 
 
-class TooShort(ValueError):
+class TooShort(TonnetzlabError):
     """The buffer is shorter than one analysis window."""
 
 
-class SampleRateTooLow(ValueError):
+class SampleRateTooLow(TonnetzlabError):
     """The sample rate is too low to resolve the note range."""
 
 

@@ -8,12 +8,14 @@ from pathlib import Path
 
 import numpy as np
 
+from ..errors import TonnetzlabError
 
-class UnsupportedFormat(ValueError):
+
+class UnsupportedFormat(TonnetzlabError):
     pass
 
 
-class CorruptHeader(ValueError):
+class CorruptHeader(TonnetzlabError):
     pass
 
 
@@ -40,6 +42,10 @@ def load_wav(path: str | Path) -> AudioBuffer:
             frames = handle.readframes(handle.getnframes())
     except (wave.Error, EOFError) as exc:
         raise CorruptHeader(f"{path}: {exc}") from exc
+    except RuntimeError as exc:
+        # the chunk reader's seek raises a bare RuntimeError when a chunk's
+        # declared size runs past the end of the file
+        raise CorruptHeader(f"{path}: a chunk runs past the end of the file") from exc
     if comp != "NONE":
         raise UnsupportedFormat(f"{path}: compressed WAV is not supported")
     if width != 2:
@@ -47,6 +53,8 @@ def load_wav(path: str | Path) -> AudioBuffer:
     if channels not in (1, 2):
         raise UnsupportedFormat(f"{path}: expected 1 or 2 channels, got {channels}")
 
+    # a data chunk cut short can end mid-frame; drop the partial frame
+    frames = frames[: len(frames) - len(frames) % (width * channels)]
     data = np.frombuffer(frames, dtype="<i2").astype(np.float64) / 32768.0
     if channels == 2:
         data = data.reshape(-1, 2).mean(axis=1)

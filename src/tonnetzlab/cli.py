@@ -8,26 +8,28 @@ Commands::
     tonnetzlab chord-id AUDIO.wav [--out segments.jsonl] [--spectrogram out.ppm]
 
 All commands are deterministic: identical inputs and flags produce
-byte-identical outputs. Exit codes: 0 success, 2 input or usage errors.
+byte-identical outputs. Exit codes: 0 success, 2 input or usage errors. Every
+input error is a ``tonnetzlab.errors.TonnetzlabError``, an ``OSError`` or a
+``UnicodeDecodeError``, and ``main`` reports it as one ``tonnetzlab: error:``
+line on stderr.
+
+Only ``chord-id`` loads the audio package ``tonnetzlab.chroma``, and numpy with
+it: ``load_wav`` and ``identify`` below import their chroma namesakes when first
+called, so the chart commands start without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .chart import ChartDocument, ChartError, Section, flatten, parse_chart, progression
-from .chroma import (
-    CorruptHeader,
-    UnsupportedFormat,
-    identify,
-    load_wav,
-    render_spectrogram_ppm,
-)
-from .chroma.spectral import SampleRateTooLow, TooShort as AudioTooShort
-from .harmony import ChordSyntaxError, Key, parse_pitch_class, pitch_class_name
+from .chart import ChartDocument, Section, flatten, parse_chart, progression
+from .errors import TonnetzlabError
+from .harmony import Key, parse_pitch_class, pitch_class_name
 from .lattice import embed_path, render_tonnetz_svg
 from .rhythm import (
     SubstructureReport,
@@ -37,6 +39,9 @@ from .rhythm import (
 )
 from .transforms import ProgressionAnnotation, annotate_progression
 
+if TYPE_CHECKING:
+    from .chroma import AudioBuffer, ChordEstimate, Spectrogram
+
 REPORT_VERSION = 1
 
 FLAT_SEVEN_NOTE = (
@@ -45,8 +50,24 @@ FLAT_SEVEN_NOTE = (
 )
 
 
-class UnknownSection(ValueError):
+class UnknownSection(TonnetzlabError):
     pass
+
+
+def load_wav(path: str | Path) -> AudioBuffer:
+    """``tonnetzlab.chroma.load_wav``, imported on the first call."""
+    from .chroma import load_wav
+
+    return load_wav(path)
+
+
+def identify(
+    buffer: AudioBuffer, **kwargs
+) -> tuple[list[ChordEstimate], Spectrogram]:
+    """``tonnetzlab.chroma.identify``, imported on the first call."""
+    from .chroma import identify
+
+    return identify(buffer, **kwargs)
 
 
 def _moves_json(annotation: ProgressionAnnotation) -> list[dict]:
@@ -180,6 +201,8 @@ def _cmd_render_clocks(args: argparse.Namespace) -> int:
 
 
 def _cmd_chord_id(args: argparse.Namespace) -> int:
+    from .chroma import render_spectrogram_ppm
+
     buffer = load_wav(args.audio)
     segments, spec = identify(buffer, pre_emphasis=args.pre_emphasis)
     lines = [
@@ -195,6 +218,7 @@ def _cmd_chord_id(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tonnetzlab",
@@ -244,18 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ChartError,
-        ChordSyntaxError,
-        UnknownSection,
-        UnsupportedFormat,
-        CorruptHeader,
-        AudioTooShort,
-        SampleRateTooLow,
-        FileNotFoundError,
-        IsADirectoryError,
-        PermissionError,
-    ) as exc:
+    except (TonnetzlabError, OSError, UnicodeDecodeError) as exc:
         print(f"tonnetzlab: error: {exc}", file=sys.stderr)
         return 2
 

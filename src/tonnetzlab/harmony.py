@@ -13,6 +13,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from .errors import TonnetzlabError
+
 PitchClass = int  # 0..11, C = 0
 
 NOTE_NAMES = ["C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B"]
@@ -26,7 +28,7 @@ MAJOR_SCALE_DEGREES = {0: 1, 2: 2, 4: 3, 5: 4, 7: 5, 9: 6, 11: 7}
 _ROMAN_NUMERALS = ["I", "II", "III", "IV", "V", "VI", "VII"]
 
 
-class ChordSyntaxError(ValueError):
+class ChordSyntaxError(TonnetzlabError):
     """Base class for chord-token parse failures."""
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .errors import TonnetzlabError
 from .harmony import PitchClass, Quality, Triad, pitch_class_name, triad_of
 from .transforms import MoveKind, ProgressionAnnotation, tonnetz_distance
 
@@ -30,7 +31,7 @@ Point = tuple[float, float]
 _SQRT3_2 = math.sqrt(3.0) / 2.0
 
 
-class EmptyEmbedding(ValueError):
+class EmptyEmbedding(TonnetzlabError):
     """Rendering needs at least one placed triad."""
 
 

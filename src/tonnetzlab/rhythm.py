@@ -14,9 +14,10 @@ import math
 from dataclasses import dataclass, field
 
 from .chart import TimedChord
+from .errors import TonnetzlabError
 
 
-class WindowMismatch(ValueError):
+class WindowMismatch(TonnetzlabError):
     """meter * window_measures must equal the clock's hour count."""
 
 

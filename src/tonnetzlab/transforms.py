@@ -18,6 +18,7 @@ import enum
 from collections import deque
 from dataclasses import dataclass
 
+from .errors import TonnetzlabError
 from .harmony import (
     ALL_TRIADS,
     ChordSymbol,
@@ -30,7 +31,7 @@ from .harmony import (
 )
 
 
-class TooShort(ValueError):
+class TooShort(TonnetzlabError):
     """A progression needs at least two chords to contain a move."""
 
 

@@ -73,6 +73,27 @@ def test_chord_parse_error_carries_location():
     assert info.value.column == 5
 
 
+def test_chord_parse_error_column_is_the_failing_token():
+    # "7:2" fails; the same text occurs earlier, inside "A7:2"
+    with pytest.raises(ChordParseError) as info:
+        parse_chart(_chart("A7:2 7:2"))
+    assert info.value.column == 6
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (_chart("A", header="key: A\nmeter: \u00b2/4\nform: Main\n"), ChartError),
+        (_chart("A:\u00b2 E:2"), ChordParseError),
+    ],
+    ids=["meter", "duration"],
+)
+def test_non_decimal_digits_are_a_chart_error(text, error):
+    # "\u00b2" (superscript two) passes str.isdigit but int() rejects it
+    with pytest.raises(error):
+        parse_chart(text)
+
+
 def test_missing_headers_reported():
     with pytest.raises(ChartError, match="missing header"):
         parse_chart("key: A\nmeter: 4/4\n[Main]\nA\n")

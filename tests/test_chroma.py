@@ -80,6 +80,34 @@ def test_load_rejects_garbage(tmp_path):
         load_wav(path)
 
 
+def test_load_rejects_chunk_past_end_of_file(tmp_path):
+    path = tmp_path / "fmt-too-long.wav"
+    write_wav(path, np.zeros(64), 8000)
+    data = bytearray(path.read_bytes())
+    data[16:20] = (10**6).to_bytes(4, "little")  # the fmt chunk's declared size
+    path.write_bytes(bytes(data))
+    with pytest.raises(CorruptHeader):
+        load_wav(path)
+
+
+@pytest.mark.parametrize(
+    "channels, cut", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (2, 3)]
+)
+def test_load_drops_a_partial_trailing_frame(tmp_path, channels, cut):
+    pcm = np.random.default_rng(7).integers(-32768, 32768, (501, channels)).astype("<i2")
+    path = tmp_path / "cut.wav"
+    with wave.open(str(path), "wb") as handle:
+        handle.setnchannels(channels)
+        handle.setsampwidth(2)
+        handle.setframerate(8000)
+        handle.writeframes(pcm.tobytes())
+    if cut:
+        path.write_bytes(path.read_bytes()[:-cut])
+    kept = pcm[: len(pcm) - (cut > 0)]  # every cut here lands inside the last frame
+    expected = (kept.astype(np.float64) / 32768.0).mean(axis=1)
+    assert np.array_equal(load_wav(path).samples, expected)
+
+
 def test_write_read_round_trip(tmp_path):
     path = tmp_path / "rt.wav"
     samples = np.sin(np.linspace(0, 40.0, 22050)) * 0.5

@@ -1,11 +1,22 @@
 from __future__ import annotations
 
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+import wave
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tonnetzlab
+from tonnetzlab import cli
 from tonnetzlab.chroma import synth, write_wav
 from tonnetzlab.cli import main
 from tonnetzlab.harmony import parse_chord_symbol
@@ -179,3 +190,169 @@ def test_render_outputs_byte_identical_across_runs(lead_chart_path, tmp_path):
     _run("render-tonnetz", lead_chart_path, "--section", "Bridge", "--out", first)
     _run("render-tonnetz", lead_chart_path, "--section", "Bridge", "--out", second)
     assert first.read_bytes() == second.read_bytes()
+
+
+def _assert_one_line_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.err.startswith("tonnetzlab: error: ")
+    assert captured.err.count("\n") == 1
+
+
+WALTZ_CHART = "key: A\nmeter: 3/4\nform: Verse\n[Verse]\nA | E7\n"
+
+
+@pytest.mark.parametrize(
+    "chart, argv",
+    [
+        (WALTZ_CHART, ["analyze"]),
+        (WALTZ_CHART, ["render-clocks", "--section", "Verse", "--out-dir", "clocks"]),
+        (
+            "key: A\nmeter: 4/4\nform: Verse\n[Verse]\nA\n",
+            ["render-tonnetz", "--section", "Verse"],
+        ),
+        (b"key: A\nmeter: 4/4\nform: Verse\n[Verse]\nA | E7 \xff\n", ["analyze"]),
+    ],
+    ids=["meter-3-analyze", "meter-3-render-clocks", "one-chord-section", "not-utf-8"],
+)
+def test_unanalysable_chart_is_a_one_line_error(tmp_path, capsys, chart, argv):
+    path = tmp_path / "input.chart"
+    if isinstance(chart, str):
+        path.write_text(chart, encoding="utf-8")
+    else:
+        path.write_bytes(chart)
+    command, *flags = argv
+    flags = [str(tmp_path / f) if f == "clocks" else f for f in flags]
+    assert _run(command, path, *flags) == 2
+    _assert_one_line_error(capsys)
+
+
+def _wav_bytes(channels: int = 1) -> bytes:
+    """A 16-bit WAV of 8192 frames, 44-byte header, each channel the same sine."""
+    pcm = (np.sin(np.arange(8192) * 0.07) * 16000).astype("<i2")
+    out = io.BytesIO()
+    with wave.open(out, "wb") as handle:
+        handle.setnchannels(channels)
+        handle.setsampwidth(2)
+        handle.setframerate(22050)
+        handle.writeframes(np.repeat(pcm, channels).tobytes())
+    return out.getvalue()
+
+
+def test_chord_id_chunk_past_end_of_file_is_a_one_line_error(tmp_path, capsys):
+    data = bytearray(_wav_bytes())
+    data[16:20] = (10**6).to_bytes(4, "little")  # the fmt chunk's declared size
+    wav = tmp_path / "fmt-too-long.wav"
+    wav.write_bytes(bytes(data))
+    assert _run("chord-id", wav) == 2
+    _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("channels, cut", [(1, 1), (2, 2), (2, 3)])
+def test_chord_id_analyses_a_data_chunk_cut_mid_frame(tmp_path, capsys, channels, cut):
+    wav = tmp_path / "cut.wav"
+    wav.write_bytes(_wav_bytes(channels)[:-cut])
+    assert _run("chord-id", wav) == 0
+    assert capsys.readouterr().out
+
+
+def test_cli_calls_the_audio_stages_by_their_module_names(tmp_path, monkeypatch):
+    # the benchmark's tracing swaps spans into exactly these two names
+    calls = []
+    for name in ("load_wav", "identify"):
+        original = getattr(cli, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+    wav = tmp_path / "a.wav"
+    buf = synth.chord_sequence([parse_chord_symbol("A")], 1.0)
+    write_wav(wav, buf.samples, buf.sample_rate)
+    assert _run("chord-id", wav, "--out", tmp_path / "a.jsonl") == 0
+    assert calls == ["load_wav", "identify"]
+
+
+_IMPORT_PROBE = """
+import sys
+from tonnetzlab.cli import main
+
+chart, out = sys.argv[1], sys.argv[2]
+for argv in (
+    ["analyze", chart, "--out", out + "/report.json"],
+    ["render-tonnetz", chart, "--section", "Verse", "--out", out + "/verse.svg"],
+    ["render-clocks", chart, "--section", "Verse", "--out-dir", out + "/clocks"],
+):
+    assert main(argv) == 0, argv
+print("numpy" in sys.modules)
+assert main(["chord-id", sys.argv[3], "--out", out + "/segments.jsonl"]) == 0
+print("numpy" in sys.modules)
+"""
+
+
+def test_only_chord_id_imports_numpy(lead_chart_path, tmp_path):
+    # a fresh interpreter: this one shares sys.modules with every other test
+    wav = tmp_path / "a.wav"
+    buf = synth.chord_sequence([parse_chord_symbol("A")], 1.0)
+    write_wav(wav, buf.samples, buf.sample_rate)
+    src = str(Path(tonnetzlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(lead_chart_path), str(tmp_path), str(wav)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]
+
+
+_CHART_LINES = st.one_of(
+    st.sampled_from(
+        ["[Verse]", "A | E7", "f#:2 A7:2 | D:2 d:2", "D", "~D:2 E:2", "A:3", "A7:2 7:2"]
+    ),
+    st.text(max_size=8),
+)
+_CHART_BYTES = st.one_of(
+    st.binary(max_size=80),
+    st.builds(
+        lambda head, lines, tail: (head + "\n".join(lines)).encode("utf-8") + tail,
+        st.sampled_from(
+            ["", "key: A\nmeter: 4/4\nform: Verse\n", "key: A\nmeter: 3/4\nform: Verse\n"]
+        ),
+        st.lists(_CHART_LINES, max_size=6),
+        st.binary(max_size=3),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_CHART_BYTES)
+def test_chart_commands_exit_0_or_2_on_any_bytes(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        chart = Path(tmp) / "fuzz.chart"
+        chart.write_bytes(data)
+        for argv in (
+            ["analyze", chart, "--out", Path(tmp) / "report.json"],
+            ["render-tonnetz", chart, "--section", "Verse", "--out", Path(tmp) / "t.svg"],
+            ["render-clocks", chart, "--section", "Verse", "--out-dir", Path(tmp) / "c"],
+        ):
+            assert _run(*argv) in (0, 2)
+
+
+_VALID_WAV = _wav_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 43), st.integers(0, 255)), max_size=4),
+    st.one_of(st.none(), st.integers(0, len(_VALID_WAV))),
+)
+def test_chord_id_exits_0_or_2_on_a_mangled_wav(header_edits, length):
+    data = bytearray(_VALID_WAV)
+    for offset, value in header_edits:
+        data[offset] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        wav = Path(tmp) / "fuzz.wav"
+        wav.write_bytes(bytes(data[:length]))
+        assert _run("chord-id", wav, "--out", Path(tmp) / "segments.jsonl") in (0, 2)
