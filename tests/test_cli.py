@@ -26,6 +26,13 @@ def _run(*argv):
     return main([str(a) for a in argv])
 
 
+def _assert_one_line_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("tonnetzlab: error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_analyze_report_shape(lead_chart_path, tmp_path):
     out = tmp_path / "report.json"
     assert _run("analyze", lead_chart_path, "--out", out) == 0
@@ -179,10 +186,7 @@ def test_chord_id_unanalysable_wav_is_a_one_line_error(
     wav = tmp_path / "unanalysable.wav"
     write_wav(wav, samples, sample_rate)
     assert _run("chord-id", wav, *flags) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("tonnetzlab: error: ")
-    assert captured.err.count("\n") == 1
+    _assert_one_line_error(capsys)
 
 
 def test_render_outputs_byte_identical_across_runs(lead_chart_path, tmp_path):
@@ -192,36 +196,27 @@ def test_render_outputs_byte_identical_across_runs(lead_chart_path, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def _assert_one_line_error(capsys):
-    captured = capsys.readouterr()
-    assert captured.err.startswith("tonnetzlab: error: ")
-    assert captured.err.count("\n") == 1
-
-
-WALTZ_CHART = "key: A\nmeter: 3/4\nform: Verse\n[Verse]\nA | E7\n"
+WALTZ_CHART = b"key: A\nmeter: 3/4\nform: Verse\n[Verse]\nA | E7\n"
 
 
 @pytest.mark.parametrize(
-    "chart, argv",
+    "chart, command",
     [
-        (WALTZ_CHART, ["analyze"]),
-        (WALTZ_CHART, ["render-clocks", "--section", "Verse", "--out-dir", "clocks"]),
-        (
-            "key: A\nmeter: 4/4\nform: Verse\n[Verse]\nA\n",
-            ["render-tonnetz", "--section", "Verse"],
-        ),
-        (b"key: A\nmeter: 4/4\nform: Verse\n[Verse]\nA | E7 \xff\n", ["analyze"]),
+        (WALTZ_CHART, "analyze"),
+        (WALTZ_CHART, "render-clocks"),
+        (b"key: A\nmeter: 4/4\nform: Verse\n[Verse]\nA\n", "render-tonnetz"),
+        (b"key: A\nmeter: 4/4\nform: Verse\n[Verse]\nA | E7 \xff\n", "analyze"),
     ],
     ids=["meter-3-analyze", "meter-3-render-clocks", "one-chord-section", "not-utf-8"],
 )
-def test_unanalysable_chart_is_a_one_line_error(tmp_path, capsys, chart, argv):
+def test_unanalysable_chart_is_a_one_line_error(tmp_path, capsys, chart, command):
     path = tmp_path / "input.chart"
-    if isinstance(chart, str):
-        path.write_text(chart, encoding="utf-8")
-    else:
-        path.write_bytes(chart)
-    command, *flags = argv
-    flags = [str(tmp_path / f) if f == "clocks" else f for f in flags]
+    path.write_bytes(chart)
+    flags = {
+        "analyze": [],
+        "render-tonnetz": ["--section", "Verse"],
+        "render-clocks": ["--section", "Verse", "--out-dir", tmp_path / "clocks"],
+    }[command]
     assert _run(command, path, *flags) == 2
     _assert_one_line_error(capsys)
 
@@ -307,21 +302,29 @@ def test_only_chord_id_imports_numpy(lead_chart_path, tmp_path):
     assert done.stdout.split() == ["False", "True"]
 
 
-_CHART_LINES = st.one_of(
-    st.sampled_from(
-        ["[Verse]", "A | E7", "f#:2 A7:2 | D:2 d:2", "D", "~D:2 E:2", "A:3", "A7:2 7:2"]
-    ),
-    st.text(max_size=8),
-)
+# lines valid in 4/4, valid only in 3/4 (which cannot tile the clocks), or never valid
+_CHART_LINES = [
+    "A | E7",
+    "f#:2 A7:2 | D:2 d:2",
+    "D",
+    "D:2 ~D:2",
+    "E:3 ~E:1",
+    "A:3",
+    "A7:2 7:2",
+    "A:\u00b2 E:2",
+    "[Verse]",
+]
 _CHART_BYTES = st.one_of(
     st.binary(max_size=80),
     st.builds(
-        lambda head, lines, tail: (head + "\n".join(lines)).encode("utf-8") + tail,
+        lambda head, lines: (head + "\n".join(lines) + "\n").encode("utf-8"),
         st.sampled_from(
-            ["", "key: A\nmeter: 4/4\nform: Verse\n", "key: A\nmeter: 3/4\nform: Verse\n"]
+            [
+                "key: A\nmeter: 4/4\nform: Verse\n[Verse]\n",
+                "key: A\nmeter: 3/4\nform: Verse\n[Verse]\n",
+            ]
         ),
-        st.lists(_CHART_LINES, max_size=6),
-        st.binary(max_size=3),
+        st.lists(st.sampled_from(_CHART_LINES), max_size=6),
     ),
 )
 
