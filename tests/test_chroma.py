@@ -154,6 +154,29 @@ def test_stft_too_short():
         stft(AudioBuffer(np.zeros(1024), 22050))
 
 
+# The list-stacked framing that stft's strided view replaced, kept as the
+# reference the spectrogram must match bit for bit.
+def _reference_stft_frames(samples: np.ndarray) -> np.ndarray:
+    window_size, hop = 4096, 2048
+    count = (len(samples) - window_size) // hop + 1
+    window = np.hanning(window_size)
+    stacked = np.stack(
+        [samples[i * hop : i * hop + window_size] * window for i in range(count)]
+    )
+    return np.abs(np.fft.rfft(stacked, axis=1))
+
+
+@pytest.mark.parametrize("extra", [0, 1, 2047])
+def test_stft_matches_reference_framing_on_a_noisy_buffer(extra):
+    buffer = synth.chord_sequence(
+        [parse_chord_symbol(t) for t in ("A", "d")],
+        seconds_each=1.0, noise_snr_db=10.0, seed=3,
+    )
+    samples = np.concatenate((buffer.samples, np.full(extra, 0.25)))
+    spec = stft(AudioBuffer(samples, buffer.sample_rate))
+    assert np.array_equal(spec.frames, _reference_stft_frames(samples))
+
+
 # ----------------------------------------------------------- log-freq map
 
 
@@ -338,13 +361,17 @@ def test_nnls_batch_matches_reference_on_random_frames():
     assert np.array_equal(nnls_batch(gram, targets, sq_norms, bound), expected)
 
 
-def test_nnls_batch_matches_reference_on_acceptance_corpus():
+def _acceptance_buffer() -> AudioBuffer:
+    """The 8-chord acceptance sequence: 16 s at 30 dB SNR."""
     tokens = ["A", "E7", "A", "f#", "A7", "D", "d", "A"]
-    buffer = synth.chord_sequence(
+    return synth.chord_sequence(
         [parse_chord_symbol(t) for t in tokens],
         seconds_each=2.0, harmonics=6, decay=0.8, noise_snr_db=30.0, seed=7,
     )
-    frames = log_freq_map(stft(buffer))
+
+
+def test_nnls_batch_matches_reference_on_acceptance_corpus():
+    frames = log_freq_map(stft(_acceptance_buffer()))
     frames[len(frames) // 2] = 0.0
     gram, targets, sq_norms, bound = _problem(frames)
     # these frames take 92-294 iterations: at 250 a few are cut off
@@ -448,6 +475,34 @@ def test_chroma_fold_octaves_accumulate():
 
 def test_chroma_fold_zero():
     assert not chroma_fold(np.zeros(73)).any()
+
+
+# The pitch-class loop that chroma_fold's octave reshape replaced, kept as the
+# reference the fold must match bit for bit.
+def _reference_chroma_fold(activations: np.ndarray) -> np.ndarray:
+    activations = np.asarray(activations, dtype=np.float64)
+    single = activations.ndim == 1
+    if single:
+        activations = activations[None, :]
+    chroma = np.zeros((activations.shape[0], 12))
+    for index in range(activations.shape[1]):
+        chroma[:, (LOW_NOTE + index) % 12] += activations[:, index]
+    return chroma[0] if single else chroma
+
+
+@pytest.mark.parametrize("shape", [(73,), (0, 73), (1, 73), (50, 73)])
+def test_chroma_fold_matches_reference_on_random_activations(shape):
+    activations = np.abs(np.random.default_rng(8).standard_normal(shape)) * 1e3
+    got = chroma_fold(activations)
+    assert got.shape == shape[:-1] + (12,)
+    assert np.array_equal(got, _reference_chroma_fold(activations))
+
+
+def test_chroma_fold_matches_reference_on_acceptance_corpus():
+    activations = nnls_activations_batch(
+        log_freq_map(stft(_acceptance_buffer())), build_note_dictionary()
+    )
+    assert np.array_equal(chroma_fold(activations), _reference_chroma_fold(activations))
 
 
 def test_match_chords_scale_invariant():
