@@ -105,9 +105,6 @@ class ChartDocument:
     form: tuple[str, ...]
     sections: dict[str, Section] = field(default_factory=dict)
 
-    def section(self, name: str) -> Section:
-        return self.sections[name]
-
 
 def _strip_comment(line: str) -> str:
     for i, ch in enumerate(line):

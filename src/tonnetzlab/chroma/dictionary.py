@@ -1,8 +1,8 @@
 """Harmonic note dictionary for NNLS activation recovery.
 
 Each column models one note as its stack of harmonics on the semitone grid:
-the k-th harmonic of note n lands on bin n + round(12*log2(k)) with weight
-decay**(k-1). Harmonics outside the note range are dropped and columns are
+the k-th harmonic of note n (k = 1..8) lands on bin n + round(12*log2(k)) with
+weight 0.8**(k-1). Harmonics outside the note range are dropped and columns are
 normalized to unit Euclidean length.
 """
 
@@ -15,16 +15,13 @@ import numpy as np
 
 from .spectral import HIGH_NOTE, LOW_NOTE, NOTE_COUNT
 
+HARMONICS = 8
+DECAY = 0.8
+
 
 @dataclass(frozen=True)
 class NoteDictionary:
     profiles: np.ndarray  # (bins, notes), unit-norm columns
-    harmonics: int
-    decay: float
-
-    @property
-    def note_count(self) -> int:
-        return self.profiles.shape[1]
 
     def gram(self) -> np.ndarray:
         return self.profiles.T @ self.profiles
@@ -34,12 +31,12 @@ class NoteDictionary:
         return float(np.linalg.eigvalsh(self.gram())[-1])
 
 
-def build_note_dictionary(harmonics: int = 8, decay: float = 0.8) -> NoteDictionary:
+def build_note_dictionary() -> NoteDictionary:
     profiles = np.zeros((NOTE_COUNT, NOTE_COUNT))
     for column, note in enumerate(range(LOW_NOTE, HIGH_NOTE + 1)):
-        for k in range(1, harmonics + 1):
+        for k in range(1, HARMONICS + 1):
             bin_note = note + int(round(12.0 * math.log2(k)))
             if LOW_NOTE <= bin_note <= HIGH_NOTE:
-                profiles[bin_note - LOW_NOTE, column] += decay ** (k - 1)
+                profiles[bin_note - LOW_NOTE, column] += DECAY ** (k - 1)
     profiles /= np.linalg.norm(profiles, axis=0, keepdims=True)
-    return NoteDictionary(profiles, harmonics, decay)
+    return NoteDictionary(profiles)

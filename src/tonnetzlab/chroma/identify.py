@@ -7,12 +7,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..harmony import NOTE_NAMES
-from .dictionary import NoteDictionary, build_note_dictionary
+from .dictionary import build_note_dictionary
 from .nnls import nnls_activations_batch
-from .spectral import LOW_NOTE, Spectrogram, log_freq_map, stft
+from .spectral import LOW_NOTE, NOTE_COUNT, Spectrogram, log_freq_map, stft
 from .wavio import AudioBuffer
 
 NO_CHORD = "N"
+ENERGY_FLOOR = 1e-4  # frames below this share of the loudest frame's energy are N
+SMOOTH_FRAMES = 5  # width of the median filter over frame labels
+
+# chroma_fold's octave reshape needs note index 0 to be a C
+assert LOW_NOTE % 12 == 0
+_OCTAVES = (NOTE_COUNT + 11) // 12  # C1..B6 and the lone C7
 
 # 24 binary triad templates: majors C..B then minors c..b
 TRIAD_LABELS = [NOTE_NAMES[r] for r in range(12)] + [
@@ -38,13 +44,9 @@ class ChordEstimate:
 def chroma_fold(activations: np.ndarray) -> np.ndarray:
     """Sum note activations into 12 pitch classes (last axis 73 -> 12)."""
     activations = np.asarray(activations, dtype=np.float64)
-    single = activations.ndim == 1
-    if single:
-        activations = activations[None, :]
-    chroma = np.zeros((activations.shape[0], 12))
-    for index in range(activations.shape[1]):
-        chroma[:, (LOW_NOTE + index) % 12] += activations[:, index]
-    return chroma[0] if single else chroma
+    pad = [(0, 0)] * (activations.ndim - 1) + [(0, 12 * _OCTAVES - NOTE_COUNT)]
+    octaves = np.pad(activations, pad).reshape(*activations.shape[:-1], _OCTAVES, 12)
+    return octaves.sum(axis=-2)
 
 
 def _median_smooth(indices: np.ndarray, width: int) -> np.ndarray:
@@ -56,18 +58,13 @@ def _median_smooth(indices: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def match_chords(
-    chroma: np.ndarray,
-    boundaries: np.ndarray,
-    energy_floor: float = 1e-4,
-    smooth_frames: int = 5,
-) -> list[ChordEstimate]:
+def match_chords(chroma: np.ndarray, boundaries: np.ndarray) -> list[ChordEstimate]:
     """Label chroma frames with the best of 24 triads, or ``N``.
 
     Per frame the label is the triad template with the highest cosine
     similarity; frames whose total chroma energy falls below
-    ``energy_floor`` times the loudest frame's energy become ``N``. Labels
-    are median-smoothed over ``smooth_frames`` frames (as template indices,
+    ``ENERGY_FLOOR`` times the loudest frame's energy become ``N``. Labels
+    are median-smoothed over ``SMOOTH_FRAMES`` frames (as template indices,
     with ``N`` ordered last) and adjacent identical labels merge into
     segments spanning ``boundaries[i]`` to ``boundaries[i+1]`` seconds.
     """
@@ -84,9 +81,9 @@ def match_chords(
     similarity = (chroma / safe[:, None]) @ _TEMPLATES_UNIT.T
     best = similarity.argmax(axis=1)
 
-    threshold = energy_floor * float(energy.max())
+    threshold = ENERGY_FLOOR * float(energy.max())
     indices = np.where((energy > 0) & (energy >= threshold), best, 24)
-    indices = _median_smooth(indices, smooth_frames)
+    indices = _median_smooth(indices, SMOOTH_FRAMES)
 
     segments: list[ChordEstimate] = []
     start = 0
@@ -101,13 +98,7 @@ def match_chords(
 
 
 def identify(
-    buffer: AudioBuffer,
-    dictionary: NoteDictionary | None = None,
-    window_size: int = 4096,
-    hop: int = 2048,
-    energy_floor: float = 1e-4,
-    smooth_frames: int = 5,
-    pre_emphasis: float = 0.0,
+    buffer: AudioBuffer, pre_emphasis: float = 0.0
 ) -> tuple[list[ChordEstimate], Spectrogram]:
     """Full pipeline from audio to chord segments.
 
@@ -116,16 +107,14 @@ def identify(
     Returns the segment list and the spectrogram (for optional image export).
     Deterministic: identical samples produce identical segments.
     """
-    if dictionary is None:
-        dictionary = build_note_dictionary()
     if pre_emphasis:
         samples = buffer.samples
         filtered = np.concatenate(
             (samples[:1], samples[1:] - pre_emphasis * samples[:-1])
         )
         buffer = AudioBuffer(filtered, buffer.sample_rate)
-    spec = stft(buffer, window_size, hop)
-    activations = nnls_activations_batch(log_freq_map(spec), dictionary)
+    spec = stft(buffer)
+    activations = nnls_activations_batch(log_freq_map(spec), build_note_dictionary())
     chroma = chroma_fold(activations)
     boundaries = spec.frame_boundaries(len(buffer.samples))
-    return match_chords(chroma, boundaries, energy_floor, smooth_frames), spec
+    return match_chords(chroma, boundaries), spec

@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import TonnetzlabError
 from .wavio import AudioBuffer
@@ -13,6 +14,9 @@ from .wavio import AudioBuffer
 LOW_NOTE = 24  # C1
 HIGH_NOTE = 96  # C7
 NOTE_COUNT = HIGH_NOTE - LOW_NOTE + 1
+WINDOW_SIZE = 4096  # samples per STFT frame
+HOP = 2048  # samples between frame starts
+GAMMA = 100.0  # log compression of the PPM spectrogram
 
 
 class TooShort(TonnetzlabError):
@@ -41,36 +45,31 @@ class Spectrogram:
     def frame_count(self) -> int:
         return self.frames.shape[0]
 
-    def frame_boundaries(self, total_samples: int | None = None) -> np.ndarray:
+    def frame_boundaries(self, total_samples: int) -> np.ndarray:
         """Segment boundaries in seconds: frame i owns [b[i], b[i+1]).
 
-        The last boundary extends to the end of the audio when
-        ``total_samples`` is given, so segments tile the whole signal.
+        The last boundary extends to the end of the audio (``total_samples``
+        long), so segments tile the whole signal.
         """
         edges = np.arange(self.frame_count + 1, dtype=np.float64) * self.frame_hop
-        if total_samples is not None:
-            edges[-1] = max(edges[-1], float(total_samples))
+        edges[-1] = max(edges[-1], float(total_samples))
         return edges / self.sample_rate
 
 
-def stft(buffer: AudioBuffer, window_size: int = 4096, hop: int = 2048) -> Spectrogram:
+def stft(buffer: AudioBuffer) -> Spectrogram:
     """Magnitude STFT with a Hann window.
 
     Frame count is floor((len - window) / hop) + 1; raises TooShort when the
     buffer does not cover one window.
     """
     samples = np.asarray(buffer.samples, dtype=np.float64)
-    if len(samples) < window_size:
+    if len(samples) < WINDOW_SIZE:
         raise TooShort(
-            f"need at least {window_size} samples, got {len(samples)}"
+            f"need at least {WINDOW_SIZE} samples, got {len(samples)}"
         )
-    count = (len(samples) - window_size) // hop + 1
-    window = np.hanning(window_size)
-    stacked = np.stack(
-        [samples[i * hop : i * hop + window_size] * window for i in range(count)]
-    )
-    mags = np.abs(np.fft.rfft(stacked, axis=1))
-    return Spectrogram(mags, hop, window_size, buffer.sample_rate)
+    frames = sliding_window_view(samples, WINDOW_SIZE)[::HOP] * np.hanning(WINDOW_SIZE)
+    mags = np.abs(np.fft.rfft(frames, axis=1))
+    return Spectrogram(mags, HOP, WINDOW_SIZE, buffer.sample_rate)
 
 
 def _semitone_weights(spec: Spectrogram) -> np.ndarray:
@@ -98,15 +97,15 @@ def log_freq_map(spec: Spectrogram) -> np.ndarray:
     return spec.frames @ _semitone_weights(spec).T
 
 
-def render_spectrogram_ppm(spec: Spectrogram, gamma: float = 100.0) -> bytes:
+def render_spectrogram_ppm(spec: Spectrogram) -> bytes:
     """Binary P6 PPM: one pixel column per frame, low frequencies at the bottom.
 
-    Values are log-compressed: v -> 255 * log(1 + gamma*v) / log(1 + gamma*vmax).
+    Values are log-compressed: v -> 255 * log(1 + GAMMA*v) / log(1 + GAMMA*vmax).
     """
     mags = spec.frames
     vmax = float(mags.max()) if mags.size else 0.0
     if vmax > 0:
-        gray = 255.0 * np.log1p(gamma * mags) / math.log1p(gamma * vmax)
+        gray = 255.0 * np.log1p(GAMMA * mags) / math.log1p(GAMMA * vmax)
     else:
         gray = np.zeros_like(mags)
     # frames run left to right, bins bottom to top

@@ -9,9 +9,8 @@ Commands::
 
 All commands are deterministic: identical inputs and flags produce
 byte-identical outputs. Exit codes: 0 success, 2 input or usage errors. Every
-input error is a ``tonnetzlab.errors.TonnetzlabError``, an ``OSError`` or a
-``UnicodeDecodeError``, and ``main`` reports it as one ``tonnetzlab: error:``
-line on stderr.
+input error is a ``tonnetzlab.errors.TonnetzlabError`` or an ``OSError``, and
+``main`` reports it as one ``tonnetzlab: error:`` line on stderr.
 
 Only ``chord-id`` loads the audio package ``tonnetzlab.chroma``, and numpy with
 it: ``load_wav`` and ``identify`` below import their chroma namesakes when first
@@ -27,7 +26,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .chart import ChartDocument, Section, flatten, parse_chart, progression
+from .chart import ChartDocument, ChartError, Section, flatten, parse_chart, progression
 from .errors import TonnetzlabError
 from .harmony import Key, parse_pitch_class, pitch_class_name
 from .lattice import embed_path, render_tonnetz_svg
@@ -151,7 +150,12 @@ def build_report(doc: ChartDocument, key: Key | None = None) -> dict:
 
 
 def _read_chart(path: str) -> ChartDocument:
-    return parse_chart(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        message = f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})"
+        raise ChartError(message) from exc
+    return parse_chart(text)
 
 
 def _get_section(doc: ChartDocument, name: str) -> Section:
@@ -268,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TonnetzlabError, OSError, UnicodeDecodeError) as exc:
+    except (TonnetzlabError, OSError) as exc:
         print(f"tonnetzlab: error: {exc}", file=sys.stderr)
         return 2
 

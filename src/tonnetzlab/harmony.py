@@ -140,15 +140,6 @@ class Key:
     """A major key; only major keys are supported."""
 
     tonic: PitchClass
-    mode: str = "major"
-
-    def __post_init__(self) -> None:
-        if self.mode != "major":
-            raise ValueError("only major keys are supported")
-
-    @property
-    def name(self) -> str:
-        return pitch_class_name(self.tonic)
 
 
 @dataclass(frozen=True)
@@ -288,9 +279,3 @@ def roman_numeral(symbol: ChordSymbol, key: Key) -> RomanLabel:
         )
 
     return RomanLabel(degree, accidental, symbol.quality, symbol.embellishment)
-
-
-def mixolydian_scale(tonic: PitchClass) -> tuple[PitchClass, ...]:
-    """Major scale with a lowered seventh degree, starting at ``tonic``."""
-    steps = (0, 2, 4, 5, 7, 9, 10)
-    return tuple((tonic + s) % 12 for s in steps)

@@ -19,7 +19,7 @@ deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import TonnetzlabError
 from .harmony import PitchClass, Quality, Triad, pitch_class_name, triad_of
@@ -29,6 +29,8 @@ LatticeCoord = tuple[int, int]
 Point = tuple[float, float]
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
+HEX_SIZE = 60.0  # hexagon center spacing in SVG user units
+MARGIN = 1  # extra hexagon rings around the path's bounding box
 
 
 class EmptyEmbedding(TonnetzlabError):
@@ -143,13 +145,8 @@ def embed_path(
     return PathEmbedding(tuple(placements), arities)
 
 
-@dataclass(frozen=True)
-class RenderOptions:
-    hex_size: float = 60.0  # hexagon center spacing in user units
-    margin: int = 1  # extra hexagon rings around the path's bounding box
-    note_markers: tuple[LatticeCoord, ...] = field(default_factory=tuple)
-
-
+# No element has the note-marker class; the rule stays so that every SVG keeps
+# its published bytes.
 _STYLE = (
     ".pc-hex{fill:#fdfdf8;stroke:#555;stroke-width:1.2}"
     ".pc-label{font:italic %(label)dpx serif;fill:#333;text-anchor:middle}"
@@ -161,6 +158,7 @@ _STYLE = (
 
 
 def _fmt(value: float) -> str:
+    """An SVG number: two decimals, never ``-0.00``."""
     rounded = round(value, 2)
     if rounded == 0:
         rounded = 0.0
@@ -213,11 +211,7 @@ def _arrow(start: Point, end: Point, scale: float, double: bool) -> str:
     return f'<g class="{cls}">' + "".join(lines) + head_path + "</g>"
 
 
-def render_tonnetz_svg(
-    embedding: PathEmbedding,
-    anchor: PitchClass = 0,
-    options: RenderOptions = RenderOptions(),
-) -> str:
+def render_tonnetz_svg(embedding: PathEmbedding, anchor: PitchClass = 0) -> str:
     """Render an embedded path as a standalone SVG 1.1 document.
 
     The honeycomb covers the path's bounding box plus a one-hex margin; red
@@ -226,17 +220,15 @@ def render_tonnetz_svg(
     """
     if not embedding.placements:
         raise EmptyEmbedding("cannot render an empty embedding")
-    scale = options.hex_size
+    scale = HEX_SIZE
 
     used = {h for p in embedding.placements for h in p.hexes}
-    used.update(options.note_markers)
     xs = [h[0] for h in used]
     ys = [h[1] for h in used]
-    m = options.margin
     grid = [
         (x, y)
-        for y in range(min(ys) - m, max(ys) + m + 1)
-        for x in range(min(xs) - m, max(xs) + m + 1)
+        for y in range(min(ys) - MARGIN, max(ys) + MARGIN + 1)
+        for x in range(min(xs) - MARGIN, max(xs) + MARGIN + 1)
     ]
 
     hex_parts: list[str] = []
@@ -251,15 +243,6 @@ def render_tonnetz_svg(
         hex_parts.append(
             f'<text class="pc-label" x="{_fmt(cx)}" '
             f'y="{_fmt(cy + 0.11 * scale)}">{name}</text>'
-        )
-
-    marker_parts: list[str] = []
-    side = 0.36 * scale
-    for coord in options.note_markers:
-        cx, cy = _svg_point(hex_center(coord), scale)
-        marker_parts.append(
-            f'<rect class="note-marker" x="{_fmt(cx - side / 2)}" '
-            f'y="{_fmt(cy - side / 2)}" width="{_fmt(side)}" height="{_fmt(side)}"/>'
         )
 
     arrow_parts = [
@@ -291,8 +274,7 @@ def render_tonnetz_svg(
     min_y, max_y = min(all_y) - pad, max(all_y) + pad
 
     style = _STYLE % {"label": int(0.3 * scale)}
-    body = "".join(hex_parts) + "".join(marker_parts)
-    body += "".join(arrow_parts) + "".join(circle_parts)
+    body = "".join(hex_parts) + "".join(arrow_parts) + "".join(circle_parts)
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

@@ -11,14 +11,18 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .chart import TimedChord
 from .errors import TonnetzlabError
+from .lattice import _fmt
+
+HOURS_PER_CYCLE = 8  # one hour per quarter-note beat
+WINDOW_MEASURES = 2  # measures per clock window
 
 
 class WindowMismatch(TonnetzlabError):
-    """meter * window_measures must equal the clock's hour count."""
+    """meter * WINDOW_MEASURES must equal the clock's hour count."""
 
 
 class RhythmClass(enum.Enum):
@@ -33,12 +37,11 @@ class RhythmClock:
     """Chord onsets of one window: (hour, chord label) pairs, hours ascending."""
 
     onsets: tuple[tuple[int, str], ...]
-    hours_per_cycle: int = 8
     partial: bool = False  # trailing window extends past the section's end
 
     def __post_init__(self) -> None:
         hours = [h for h, _ in self.onsets]
-        if any(not 0 <= h < self.hours_per_cycle for h in hours):
+        if any(not 0 <= h < HOURS_PER_CYCLE for h in hours):
             raise ValueError("onset hour outside the cycle")
         if any(a >= b for a, b in zip(hours, hours[1:])):
             raise ValueError("onset hours must be strictly increasing")
@@ -56,35 +59,24 @@ class RhythmClock:
         return not self.onsets
 
 
-def clocks_for(
-    timed: list[TimedChord],
-    meter: int,
-    window_measures: int = 2,
-    hours_per_cycle: int = 8,
-) -> list[RhythmClock]:
+def clocks_for(timed: list[TimedChord], meter: int) -> list[RhythmClock]:
     """Tile a section's timed chords into per-window rhythm clocks."""
-    if meter * window_measures != hours_per_cycle:
+    if meter * WINDOW_MEASURES != HOURS_PER_CYCLE:
         raise WindowMismatch(
-            f"{meter} beats x {window_measures} measures != "
-            f"{hours_per_cycle}-hour cycle"
+            f"{meter} beats x {WINDOW_MEASURES} measures != "
+            f"{HOURS_PER_CYCLE}-hour cycle"
         )
     total = max((t.onset + t.duration for t in timed), default=0)
-    count = math.ceil(total / hours_per_cycle) if total else 0
+    count = math.ceil(total / HOURS_PER_CYCLE) if total else 0
     clocks = []
     for w in range(count):
-        start = w * hours_per_cycle
+        start = w * HOURS_PER_CYCLE
         onsets = tuple(
             (t.onset - start, t.symbol.display)
             for t in timed
-            if start <= t.onset < start + hours_per_cycle
+            if start <= t.onset < start + HOURS_PER_CYCLE
         )
-        clocks.append(
-            RhythmClock(
-                onsets,
-                hours_per_cycle,
-                partial=start + hours_per_cycle > total,
-            )
-        )
+        clocks.append(RhythmClock(onsets, partial=start + HOURS_PER_CYCLE > total))
     return clocks
 
 
@@ -94,7 +86,7 @@ def classify_rhythm(clock: RhythmClock) -> RhythmClass:
         return RhythmClass.CONTINUATION
     hours = clock.hours
     gaps = [b - a for a, b in zip(hours, hours[1:])]
-    gaps.append(hours[0] + clock.hours_per_cycle - hours[-1])
+    gaps.append(hours[0] + HOURS_PER_CYCLE - hours[-1])
     if all(g == 4 for g in gaps):
         return RhythmClass.WHOLE_NOTE
     if all(g == 2 for g in gaps):
@@ -108,13 +100,12 @@ def reflect_clock(clock: RhythmClock, axis_hour: int) -> RhythmClock:
     Each onset hour h maps to (2 * axis_hour - h) mod cycle; labels ride
     along and the onsets are re-sorted. An involution for every axis.
     """
-    if not 0 <= axis_hour < clock.hours_per_cycle:
+    if not 0 <= axis_hour < HOURS_PER_CYCLE:
         raise ValueError(f"axis hour {axis_hour} outside the cycle")
     mirrored = sorted(
-        ((2 * axis_hour - h) % clock.hours_per_cycle, label)
-        for h, label in clock.onsets
+        ((2 * axis_hour - h) % HOURS_PER_CYCLE, label) for h, label in clock.onsets
     )
-    return RhythmClock(tuple(mirrored), clock.hours_per_cycle, clock.partial)
+    return RhythmClock(tuple(mirrored), clock.partial)
 
 
 @dataclass(frozen=True)
@@ -203,15 +194,8 @@ _CLOCK_STYLE = (
 )
 
 
-def _fmt(value: float) -> str:
-    rounded = round(value, 2)
-    if rounded == 0:
-        rounded = 0.0
-    return f"{rounded:.2f}"
-
-
-def _hour_xy(hour: float, cycle: int, radius: float, cx: float, cy: float):
-    theta = 2.0 * math.pi * hour / cycle  # clockwise from the top
+def _hour_xy(hour: float, radius: float, cx: float, cy: float):
+    theta = 2.0 * math.pi * hour / HOURS_PER_CYCLE  # clockwise from the top
     return cx + radius * math.sin(theta), cy - radius * math.cos(theta)
 
 
@@ -221,19 +205,19 @@ def render_clock_svg(clock: RhythmClock) -> str:
     parts = [
         f'<circle class="clock-rim" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(rim)}"/>'
     ]
-    for hour in range(clock.hours_per_cycle):
-        x1, y1 = _hour_xy(hour, clock.hours_per_cycle, rim - 7, cx, cy)
-        x2, y2 = _hour_xy(hour, clock.hours_per_cycle, rim, cx, cy)
+    for hour in range(HOURS_PER_CYCLE):
+        x1, y1 = _hour_xy(hour, rim - 7, cx, cy)
+        x2, y2 = _hour_xy(hour, rim, cx, cy)
         parts.append(
             f'<line class="clock-tick" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
             f'x2="{_fmt(x2)}" y2="{_fmt(y2)}"/>'
         )
     for hour, label in clock.onsets:
-        dx, dy = _hour_xy(hour, clock.hours_per_cycle, rim, cx, cy)
+        dx, dy = _hour_xy(hour, rim, cx, cy)
         parts.append(
             f'<circle class="clock-onset" cx="{_fmt(dx)}" cy="{_fmt(dy)}" r="5.00"/>'
         )
-        lx, ly = _hour_xy(hour, clock.hours_per_cycle, rim + 22, cx, cy)
+        lx, ly = _hour_xy(hour, rim + 22, cx, cy)
         parts.append(
             f'<text class="clock-label" x="{_fmt(lx)}" y="{_fmt(ly + 5)}">'
             f"{_escape(label)}</text>"

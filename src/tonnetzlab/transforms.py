@@ -107,14 +107,6 @@ class TonnetzMove:
     kind: MoveKind
     nr_name: NeoRiemannianOp | None = None
 
-    @property
-    def from_triad(self) -> Triad:
-        return triad_of(self.source)
-
-    @property
-    def to_triad(self) -> Triad:
-        return triad_of(self.target)
-
 
 def classify_move(a: ChordSymbol, b: ChordSymbol) -> TonnetzMove:
     """Classify the transition from chord ``a`` to chord ``b``.

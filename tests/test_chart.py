@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tonnetzlab.chart import (
     BadTie,
+    ChartDocument,
+    ChordEvent,
     ChordParseError,
     DuplicateSection,
     MeterMismatch,
@@ -15,6 +19,7 @@ from tonnetzlab.chart import (
     progression,
     serialize_chart,
 )
+from tonnetzlab.harmony import ChordSymbol, Embellishment, Key, Quality, pitch_class_set
 
 MINIMAL_HEADER = "key: A\nmeter: 4/4\nform: Main\n"
 
@@ -212,3 +217,61 @@ def test_serialize_round_trip(lead_chart, recorded_chart):
         assert again == doc
         # canonical text is a fixed point
         assert serialize_chart(again) == serialize_chart(doc)
+
+
+@st.composite
+def _chords(draw) -> ChordSymbol:
+    """Any major or minor triad, with or without a 6 or 7, with or without a bass."""
+    plain = ChordSymbol(
+        draw(st.integers(0, 11)),
+        draw(st.sampled_from(Quality)),
+        draw(st.sampled_from(Embellishment)),
+    )
+    bass = draw(st.none() | st.sampled_from(sorted(pitch_class_set(plain))))
+    return ChordSymbol(plain.root, plain.quality, plain.embellishment, bass)
+
+
+@st.composite
+def _sections(draw, name: str) -> Section:
+    """0-4 measures of 4/4, each cut into durations summing to 4; ties continue."""
+    measures: list[tuple[ChordEvent, ...]] = []
+    last: ChordEvent | None = None
+    for _ in range(draw(st.integers(0, 4))):
+        cuts = sorted(draw(st.sets(st.sampled_from([1, 2, 3]))))
+        events = []
+        for start, end in zip([0, *cuts], [*cuts, 4]):
+            tied = last is not None and draw(st.booleans())
+            symbol = last.symbol if tied else draw(_chords())
+            last = ChordEvent(symbol, end - start, tied)
+            events.append(last)
+        measures.append(tuple(events))
+    return Section(name, tuple(measures))
+
+
+# Titles exclude '#': a '#' after whitespace starts a comment, and the chart
+# format has no escape for it.
+_TITLES = st.text(st.sampled_from("abcXYZ019 :'()[]-|~/é♭"), max_size=12).map(
+    str.strip
+)
+_NAMES = st.text(
+    st.sampled_from("abcXYZ019:'()-|~/é#"), min_size=1, max_size=6
+).filter(lambda name: not name.startswith("#"))
+
+
+@st.composite
+def _documents(draw) -> ChartDocument:
+    names = draw(st.lists(_NAMES, min_size=1, max_size=3, unique=True))
+    sections = {name: draw(_sections(name)) for name in names}
+    form = tuple(draw(st.lists(st.sampled_from(names), max_size=5)))
+    key = Key(draw(st.integers(0, 11)))
+    return ChartDocument(draw(_TITLES), key, 4, form, sections)
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=_documents())
+def test_serialize_parse_round_trip_on_generated_charts(doc):
+    text = serialize_chart(doc)
+    again = parse_chart(text)
+    assert again == doc
+    assert list(again.sections) == list(doc.sections)
+    assert serialize_chart(again) == text

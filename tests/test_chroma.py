@@ -217,7 +217,7 @@ def test_dictionary_columns_are_unit_norm():
 
 
 def test_dictionary_harmonic_stack_structure():
-    dictionary = build_note_dictionary(harmonics=8, decay=0.8)
+    dictionary = build_note_dictionary()
     # oracle: k-th harmonic of the lowest note lands on round(12*log2(k))
     offsets = [round(12 * math.log2(k)) for k in range(1, 9)]
     column = dictionary.profiles[:, 0]

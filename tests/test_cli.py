@@ -26,11 +26,12 @@ def _run(*argv):
     return main([str(a) for a in argv])
 
 
-def _assert_one_line_error(capsys):
+def _assert_one_line_error(capsys) -> str:
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("tonnetzlab: error: ")
     assert captured.err.count("\n") == 1
+    return captured.err
 
 
 def test_analyze_report_shape(lead_chart_path, tmp_path):
@@ -218,7 +219,9 @@ def test_unanalysable_chart_is_a_one_line_error(tmp_path, capsys, chart, command
         "render-clocks": ["--section", "Verse", "--out-dir", tmp_path / "clocks"],
     }[command]
     assert _run(command, path, *flags) == 2
-    _assert_one_line_error(capsys)
+    err = _assert_one_line_error(capsys)
+    if b"\xff" in chart:  # the line names the file and the offset of the bad byte
+        assert f"{path}: byte 45 is not UTF-8" in err
 
 
 def _wav_bytes(channels: int = 1) -> bytes:

@@ -15,7 +15,6 @@ from tonnetzlab.harmony import (
     Triad,
     UnknownRootLetter,
     common_tones,
-    mixolydian_scale,
     parse_chord_symbol,
     pitch_class_set,
     roman_numeral,
@@ -184,12 +183,3 @@ def test_non_diatonic_roots_get_flat_spelling_in_major():
     key = Key(0)  # C major
     for root, expect in ((1, "♭II"), (3, "♭III"), (10, "♭VII")):
         assert roman_numeral(ChordSymbol(root, Quality.MAJOR), key).text == expect
-
-
-def test_only_major_keys_supported():
-    with pytest.raises(ValueError):
-        Key(0, mode="minor")
-
-
-def test_mixolydian_scale_lowers_the_seventh():
-    assert mixolydian_scale(A) == (9, 11, 1, 2, 4, 6, 7)

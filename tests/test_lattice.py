@@ -10,7 +10,6 @@ from tonnetzlab.harmony import ALL_TRIADS, Key, Quality, Triad, parse_chord_symb
 from tonnetzlab.lattice import (
     EmptyEmbedding,
     PathEmbedding,
-    RenderOptions,
     embed_path,
     hex_center,
     node_pitch_class,
@@ -197,16 +196,6 @@ def test_render_is_well_formed_and_deterministic(lead_chart):
 def test_render_empty_embedding_rejected():
     with pytest.raises(EmptyEmbedding):
         render_tonnetz_svg(PathEmbedding((), ()))
-
-
-def test_note_marker_option():
-    embedding = embed_path(_single_chord_annotation("A"), anchor=A)
-    svg = render_tonnetz_svg(
-        embedding, anchor=A, options=RenderOptions(note_markers=((1, 0),))
-    )
-    root = ET.fromstring(svg)
-    markers = [el for el in root.iter() if el.get("class") == "note-marker"]
-    assert len(markers) == 1
 
 
 def test_start_and_end_circles_distinct_when_path_ends_elsewhere():
