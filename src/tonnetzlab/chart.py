@@ -270,8 +270,24 @@ def _event_token(event: ChordEvent, meter: int) -> str:
     return ("~" if event.tied else "") + text
 
 
+def _writable(text: str) -> bool:
+    """Whether ``text`` reads back unchanged after a space on a chart line."""
+    line = " " + text
+    one_line = text == text.strip() and len(text.splitlines()) <= 1
+    return one_line and _strip_comment(line) == line
+
+
 def serialize_chart(doc: ChartDocument) -> str:
-    """Canonical text form; ``parse_chart`` of the result round-trips."""
+    """Canonical text form; ``parse_chart`` of the result round-trips.
+
+    Raises ChartError for a title or section name the format cannot carry:
+    one with edge whitespace, a line break or a ``#`` that starts a comment,
+    or a form entry that holds whitespace.
+    """
+    names = [*doc.form, *(section.name for section in doc.sections.values())]
+    for text in (doc.title, *names):
+        if not _writable(text) or (text in doc.form and text.split() != [text]):
+            raise ChartError(f"{text!r} cannot be written in a chart")
     lines = []
     if doc.title:
         lines.append(f"title: {doc.title}")

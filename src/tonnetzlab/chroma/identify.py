@@ -44,9 +44,9 @@ class ChordEstimate:
 def chroma_fold(activations: np.ndarray) -> np.ndarray:
     """Sum note activations into 12 pitch classes (last axis 73 -> 12)."""
     activations = np.asarray(activations, dtype=np.float64)
-    pad = [(0, 0)] * (activations.ndim - 1) + [(0, 12 * _OCTAVES - NOTE_COUNT)]
-    octaves = np.pad(activations, pad).reshape(*activations.shape[:-1], _OCTAVES, 12)
-    return octaves.sum(axis=-2)
+    padded = np.zeros(activations.shape[:-1] + (12 * _OCTAVES,))
+    padded[..., :NOTE_COUNT] = activations
+    return padded.reshape(*activations.shape[:-1], _OCTAVES, 12).sum(axis=-2)
 
 
 def _median_smooth(indices: np.ndarray, width: int) -> np.ndarray:

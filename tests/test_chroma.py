@@ -168,10 +168,7 @@ def _reference_stft_frames(samples: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("extra", [0, 1, 2047])
 def test_stft_matches_reference_framing_on_a_noisy_buffer(extra):
-    buffer = synth.chord_sequence(
-        [parse_chord_symbol(t) for t in ("A", "d")],
-        seconds_each=1.0, noise_snr_db=10.0, seed=3,
-    )
+    buffer = _acceptance_buffer(noise_snr_db=10.0)
     samples = np.concatenate((buffer.samples, np.full(extra, 0.25)))
     spec = stft(AudioBuffer(samples, buffer.sample_rate))
     assert np.array_equal(spec.frames, _reference_stft_frames(samples))
@@ -361,12 +358,12 @@ def test_nnls_batch_matches_reference_on_random_frames():
     assert np.array_equal(nnls_batch(gram, targets, sq_norms, bound), expected)
 
 
-def _acceptance_buffer() -> AudioBuffer:
-    """The 8-chord acceptance sequence: 16 s at 30 dB SNR."""
+def _acceptance_buffer(noise_snr_db: float = 30.0) -> AudioBuffer:
+    """The 8-chord acceptance sequence: 16 s, at 30 dB SNR unless told otherwise."""
     tokens = ["A", "E7", "A", "f#", "A7", "D", "d", "A"]
     return synth.chord_sequence(
         [parse_chord_symbol(t) for t in tokens],
-        seconds_each=2.0, harmonics=6, decay=0.8, noise_snr_db=30.0, seed=7,
+        seconds_each=2.0, harmonics=6, decay=0.8, noise_snr_db=noise_snr_db, seed=7,
     )
 
 

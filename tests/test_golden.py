@@ -5,7 +5,9 @@ not change behaviour is checked against fixed values rather than against a
 second run of the same tree. Inputs: ``analyze`` on both charts,
 ``render-tonnetz`` and every ``render-clocks`` file for every section of both
 charts, and ``chord-id`` (JSONL, plus the PPM spectrogram and a pre-emphasised
-run) on the synthesized 8-chord acceptance sequence.
+run) on the synthesized 8-chord acceptance sequence. The audio hashes rest on
+the rounding of numpy's FFT and matrix products; they were recorded with numpy
+2.4 on x86-64.
 """
 
 from __future__ import annotations
