@@ -151,7 +151,7 @@ def build_report(doc: ChartDocument, key: Key | None = None) -> dict:
 
 def _read_chart(path: str) -> ChartDocument:
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         message = f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})"
         raise ChartError(message) from exc
