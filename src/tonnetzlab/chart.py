@@ -285,9 +285,10 @@ def serialize_chart(doc: ChartDocument) -> str:
     or a form entry that holds whitespace.
     """
     names = [*doc.form, *(section.name for section in doc.sections.values())]
-    for text in (doc.title, *names):
-        if not _writable(text) or (text in doc.form and text.split() != [text]):
-            raise ChartError(f"{text!r} cannot be written in a chart")
+    bad = [text for text in (doc.title, *names) if not _writable(text)]
+    bad += [name for name in doc.form if name.split() != [name]]
+    if bad:
+        raise ChartError(f"{bad[0]!r} cannot be written in a chart")
     lines = []
     if doc.title:
         lines.append(f"title: {doc.title}")
