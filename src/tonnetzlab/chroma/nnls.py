@@ -1,12 +1,21 @@
 """Note-activation recovery: non-negative least squares per analysis frame.
 
 Minimizes ||D a - f||_2 over a >= 0 for every frame f, given the Gram matrix
-G = D^T D, the correlations h = D^T f and ||f||^2 per frame. Projected
-gradient with the fixed step 1/L (L the largest eigenvalue of G) keeps the
-residual monotone non-increasing. A frame stops when its relative residual
-improvement drops below ``tol``, when its residual reaches zero, or after
-``max_iter`` steps. The residual is evaluated as sqrt(a.G.a - 2 a.h + ||f||^2),
-so the loop never needs the dictionary itself.
+G = D^T D, the correlations h = D^T f and ||f||^2 per frame. The solver is
+FISTA (Beck & Teboulle 2009): a projected-gradient step of size 1/L (L the
+largest eigenvalue of G) from a point extrapolated along the last move, with
+adaptive restart (O'Donoghue & Candes 2015). A step that would raise the
+residual is rejected: the frame keeps its activations and drops its momentum,
+so its next step is a plain projected-gradient step and the residual never
+goes up. The residual is evaluated as sqrt(a.G.a - 2 a.h + ||f||^2), so the
+loop never needs the dictionary itself.
+
+A frame stops when its KKT natural residual max|min(a, G a - h)| falls to
+``tol * max|h|``, which does not change when the frame is scaled, or after
+``max_iter`` steps. Each step costs one product with G: the forward step
+a - (G a - h) / L is affine in a, so the forward step from the extrapolated
+point is the same combination of the carried forward steps of the last two
+iterates.
 
 Frames are independent, so the loop updates all frames that have not stopped
 yet as one numpy batch. A frame leaves the batch at the iteration where its
@@ -25,7 +34,7 @@ import numpy as np
 
 from .dictionary import NoteDictionary
 
-DEFAULT_TOL = 1e-6
+DEFAULT_TOL = 1e-4
 DEFAULT_MAX_ITER = 500
 
 
@@ -50,32 +59,51 @@ def nnls_batch(
     it needs a batch of one row.
     """
     out = np.zeros_like(targets)
-    r_prev = np.sqrt(np.maximum(target_sq_norms, 0.0))
+    r = np.sqrt(np.maximum(target_sq_norms, 0.0))
     if residual_history is not None:
         if len(targets) != 1:
             raise ValueError("residual_history needs a batch of one row")
-        residual_history.append(float(r_prev[0]))
-    rows = np.flatnonzero(r_prev != 0.0)
+        residual_history.append(float(r[0]))
+    rows = np.flatnonzero(r != 0.0)
     h = targets[rows]
     f2 = target_sq_norms[rows]
-    r_prev = r_prev[rows]
-    x = np.zeros_like(h)
-    q = np.zeros_like(h)  # gram @ x per row, carried across iterations
+    r = r[rows]
+    stop = tol * np.abs(h).max(axis=1)
+    x = np.zeros_like(h)  # the iterate
+    v = h / step_bound  # its forward step x - (G x - h) / L
+    w = v.copy()  # the forward step from the extrapolated point
+    t = np.ones(len(rows))  # FISTA's momentum sequence
     for _ in range(max_iter):
         if not len(rows):
             break
-        x = np.maximum(0.0, x - (q - h) / step_bound)
-        q = (gram @ x[:, :, None])[:, :, 0]
-        r = np.sqrt(np.maximum(_rowwise_dot(x, q) - 2.0 * _rowwise_dot(x, h) + f2, 0.0))
+        z = np.maximum(w, 0.0)  # the projected step from the extrapolated point
+        g = (gram @ z[:, :, None])[:, :, 0]
+        g -= h  # the gradient G z - h
+        rz = np.sqrt(np.maximum(_rowwise_dot(z, g - h) + f2, 0.0))
+        kkt = np.minimum(z, g)  # the natural residual
+        np.abs(kkt, out=kkt)
+        g /= step_bound
+        np.subtract(z, g, out=g)  # z's forward step
+        t_next = 0.5 + np.sqrt(0.25 + t * t)
+        # the forward step from z + beta (z - x) is g + beta (g - v)
+        np.subtract(g, v, out=w)
+        w *= ((t - 1.0) / t_next)[:, None]
+        w += g
+        stopped = kkt.max(axis=1) <= stop
+        rejected = np.flatnonzero(rz > r)
+        if len(rejected):  # keep x, drop the momentum: a plain projected step is next
+            z[rejected] = x[rejected]
+            g[rejected] = w[rejected] = v[rejected]
+            t_next[rejected] = 1.0
+            stopped[rejected] = False
+        x, v, t, r = z, g, t_next, np.minimum(r, rz)
         if residual_history is not None:
             residual_history.append(float(r[0]))
-        stopped = (r == 0.0) | ((r_prev - r) / r_prev < tol)
         if stopped.any():
             out[rows[stopped]] = x[stopped]
             going = ~stopped
-            rows, x, q, h = rows[going], x[going], q[going], h[going]
-            f2, r = f2[going], r[going]
-        r_prev = r
+            rows, x, v, w, h = rows[going], x[going], v[going], w[going], h[going]
+            f2, r, t, stop = f2[going], r[going], t[going], stop[going]
     out[rows] = x  # the frames that used up max_iter
     return out
 

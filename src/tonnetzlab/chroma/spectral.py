@@ -36,9 +36,7 @@ def midi_frequency(note: float) -> float:
 class Spectrogram:
     """Non-negative magnitude frames, one row per frame."""
 
-    frames: np.ndarray  # shape (n_frames, window_size // 2 + 1)
-    frame_hop: int
-    window_size: int
+    frames: np.ndarray  # shape (n_frames, WINDOW_SIZE // 2 + 1)
     sample_rate: int
 
     @property
@@ -51,7 +49,7 @@ class Spectrogram:
         The last boundary extends to the end of the audio (``total_samples``
         long), so segments tile the whole signal.
         """
-        edges = np.arange(self.frame_count + 1, dtype=np.float64) * self.frame_hop
+        edges = np.arange(self.frame_count + 1, dtype=np.float64) * HOP
         edges[-1] = max(edges[-1], float(total_samples))
         return edges / self.sample_rate
 
@@ -69,12 +67,12 @@ def stft(buffer: AudioBuffer) -> Spectrogram:
         )
     frames = sliding_window_view(samples, WINDOW_SIZE)[::HOP] * np.hanning(WINDOW_SIZE)
     mags = np.abs(np.fft.rfft(frames, axis=1))
-    return Spectrogram(mags, HOP, WINDOW_SIZE, buffer.sample_rate)
+    return Spectrogram(mags, buffer.sample_rate)
 
 
 def _semitone_weights(spec: Spectrogram) -> np.ndarray:
     """(notes x bins) triangular weights, half-width one semitone."""
-    freqs = np.fft.rfftfreq(spec.window_size, 1.0 / spec.sample_rate)
+    freqs = np.fft.rfftfreq(WINDOW_SIZE, 1.0 / spec.sample_rate)
     semis = np.full_like(freqs, -1e9)
     positive = freqs > 0
     semis[positive] = 69.0 + 12.0 * np.log2(freqs[positive] / 440.0)
