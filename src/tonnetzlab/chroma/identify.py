@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import TonnetzlabError
 from ..harmony import NOTE_NAMES
 from .dictionary import build_note_dictionary
 from .nnls import nnls_activations_batch
@@ -30,6 +31,10 @@ for _r in range(12):
     _TEMPLATES[_r, [_r, (_r + 4) % 12, (_r + 7) % 12]] = 1.0
     _TEMPLATES[12 + _r, [_r, (_r + 3) % 12, (_r + 7) % 12]] = 1.0
 _TEMPLATES_UNIT = _TEMPLATES / np.linalg.norm(_TEMPLATES, axis=1, keepdims=True)
+
+
+class BadPreEmphasis(TonnetzlabError):
+    """The pre-emphasis coefficient is nan or lies outside [-1, 1]."""
 
 
 @dataclass(frozen=True)
@@ -104,9 +109,14 @@ def identify(
 
     ``pre_emphasis`` applies the first-order filter y[n] = x[n] - c*x[n-1]
     before analysis, tilting energy toward the upper harmonics; 0 disables it.
+    A coefficient outside [-1, 1], nan included, raises BadPreEmphasis.
     Returns the segment list and the spectrogram (for optional image export).
     Deterministic: identical samples produce identical segments.
     """
+    if not abs(pre_emphasis) <= 1.0:  # also true for nan
+        raise BadPreEmphasis(
+            f"pre-emphasis coefficient must lie in [-1, 1], got {pre_emphasis}"
+        )
     if pre_emphasis:
         samples = buffer.samples
         filtered = np.concatenate(

@@ -70,29 +70,26 @@ def stft(buffer: AudioBuffer) -> Spectrogram:
     return Spectrogram(mags, buffer.sample_rate)
 
 
-def _semitone_weights(spec: Spectrogram) -> np.ndarray:
-    """(notes x bins) triangular weights, half-width one semitone."""
-    freqs = np.fft.rfftfreq(WINDOW_SIZE, 1.0 / spec.sample_rate)
-    semis = np.full_like(freqs, -1e9)
-    positive = freqs > 0
-    semis[positive] = 69.0 + 12.0 * np.log2(freqs[positive] / 440.0)
-    notes = np.arange(LOW_NOTE, HIGH_NOTE + 1, dtype=np.float64)
-    tri = 1.0 - np.abs(semis[None, :] - notes[:, None])
-    return np.maximum(tri, 0.0)
-
-
 def log_freq_map(spec: Spectrogram) -> np.ndarray:
     """Fold FFT bins onto semitone bins for MIDI notes 24..96.
 
-    Each note bin accumulates magnitudes under a triangular window centered
-    at the note's 12-TET frequency. Returns (n_frames, 73).
+    Each note bin accumulates magnitudes under a triangular window of
+    half-width one semitone centered at the note's 12-TET frequency. Only
+    the FFT bins within a semitone of the note range carry weight, so only
+    they enter the product. Returns (n_frames, 73).
     """
     if spec.sample_rate < 8000:
         raise SampleRateTooLow(
             f"sample rate {spec.sample_rate} Hz is below 8 kHz "
             "and cannot resolve the note range"
         )
-    return spec.frames @ _semitone_weights(spec).T
+    freqs = np.fft.rfftfreq(WINDOW_SIZE, 1.0 / spec.sample_rate)[1:]  # bin 0 is DC
+    semis = 69.0 + 12.0 * np.log2(freqs / 440.0)
+    # semis rises with the bin, so the weighted bins are one slice, perhaps empty
+    lo, hi = np.searchsorted(semis, [LOW_NOTE - 1, HIGH_NOTE + 1])
+    notes = np.arange(LOW_NOTE, HIGH_NOTE + 1, dtype=np.float64)
+    weights = np.maximum(1.0 - np.abs(semis[lo:hi] - notes[:, None]), 0.0)
+    return spec.frames[:, 1 + lo : 1 + hi] @ weights.T
 
 
 def render_spectrogram_ppm(spec: Spectrogram) -> bytes:

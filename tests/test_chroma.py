@@ -28,7 +28,6 @@ from tonnetzlab.chroma.nnls import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     nnls_activations_batch,
-    nnls_batch,
     nnls_residual_history,
 )
 from tonnetzlab.chroma.spectral import LOW_NOTE, SampleRateTooLow, Spectrogram, TooShort
@@ -205,6 +204,30 @@ def test_log_freq_rejects_low_sample_rate():
         log_freq_map(starved)
 
 
+# The full (notes x bins) triangle table that log_freq_map's slice of weighted
+# bins replaced, kept as the reference it must match to rounding.
+def _reference_log_freq_map(spec: Spectrogram) -> np.ndarray:
+    freqs = np.fft.rfftfreq(4096, 1.0 / spec.sample_rate)
+    semis = np.full_like(freqs, -1e9)
+    positive = freqs > 0
+    semis[positive] = 69.0 + 12.0 * np.log2(freqs[positive] / 440.0)
+    notes = np.arange(24, 97, dtype=np.float64)
+    table = np.maximum(1.0 - np.abs(semis[None, :] - notes[:, None]), 0.0)
+    return spec.frames @ table.T
+
+
+# 16.8 MHz puts the first FFT bin above the note range: the map is all zeros
+@pytest.mark.parametrize("sample_rate", [8000, 22050, 44100, 16_800_000])
+def test_log_freq_map_matches_the_full_table(sample_rate):
+    frames = stft(_acceptance_buffer(noise_snr_db=10.0)).frames
+    spec = Spectrogram(frames, sample_rate)
+    expected = _reference_log_freq_map(spec)
+    got = log_freq_map(spec)
+    assert got.shape == expected.shape
+    assert (np.abs(got - expected) <= 1e-12 * expected.max(axis=1, keepdims=True)).all()
+    assert expected.any() == got.any() == (sample_rate < 16_800_000)
+
+
 # ------------------------------------------------------------- dictionary
 
 
@@ -295,82 +318,75 @@ def test_nnls_scale_equivariant():
         assert np.max(np.abs(scaled - c * base)) <= 1e-5 * max(1.0, c) * base.max()
 
 
-# The FISTA iteration of chroma.nnls.nnls_batch written out for one frame, the
-# reference the batched solver must match bit for bit.
+# The FISTA iteration of chroma.nnls.nnls_activations_batch written out for one
+# frame, the reference the batched solver must match bit for bit.
 def nnls_solve_one(
-    gram: np.ndarray,
-    target: np.ndarray,
-    target_sq_norm: float,
-    step_bound: float,
+    frame: np.ndarray,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     residual_history: list[float] | None = None,
 ) -> np.ndarray:
-    """Solve one NNLS instance; optionally record the residual per iteration."""
+    """Solve one NNLS instance; optionally record ||D x - f|| per iteration."""
+    dictionary = build_note_dictionary()
+    profiles, gram = dictionary.profiles, dictionary.gram()
+    step_bound = dictionary.step_bound()
+    target = profiles.T @ frame
     x = np.zeros(gram.shape[0])
-    r = math.sqrt(max(target_sq_norm, 0.0))
-    if residual_history is not None:
-        residual_history.append(r)
-    if r == 0.0:
+    history = [] if residual_history is None else residual_history
+    history.append(float(np.linalg.norm(profiles @ x - frame)))
+    if not target.any():
         return x
     stop = tol * float(np.abs(target).max())
-    v = target / step_bound  # x's forward step x - (gram @ x - target) / step_bound
+    gx = -target  # x's gradient gram @ x - target
+    v = target / step_bound  # x's forward step x - gx / step_bound
     w = v  # the forward step from the extrapolated point
     t = 1.0
     for _ in range(max_iter):
         z = np.maximum(w, 0.0)
         g = gram @ z - target
-        rz = math.sqrt(max(float(z @ (g - target)) + target_sq_norm, 0.0))
         stopped = False
-        if rz > r:  # the step would raise the residual: keep x, drop the momentum
+        # the objective would rise: keep x, drop the momentum
+        if float((z - x) @ (g + gx)) > 0.0:
             w, t = v, 1.0
         else:
             stopped = np.abs(np.minimum(z, g)).max() <= stop
             v_z = z - g / step_bound
             t_next = 0.5 + math.sqrt(0.25 + t * t)
             w = v_z + (t - 1.0) / t_next * (v_z - v)
-            x, v, t, r = z, v_z, t_next, rz
-        if residual_history is not None:
-            residual_history.append(r)
+            x, gx, v, t = z, g, v_z, t_next
+        history.append(float(np.linalg.norm(profiles @ x - frame)))
         if stopped:
             break
     return x
 
 
-def _problem(frames: np.ndarray):
-    """Gram matrix, targets, squared norms and step bound, as the solver gets them."""
-    dictionary = build_note_dictionary()
-    frames = np.ascontiguousarray(frames, dtype=np.float64)
-    targets = frames @ dictionary.profiles
-    sq_norms = np.sum(frames * frames, axis=1)
-    return dictionary.gram(), targets, sq_norms, dictionary.step_bound()
-
-
-def _reference_batch(gram, targets, sq_norms, bound, max_iter=DEFAULT_MAX_ITER):
+def _reference_batch(frames: np.ndarray, max_iter: int = DEFAULT_MAX_ITER):
     """Row-by-row reference solve; returns activations and iterations per row."""
-    out = np.zeros_like(targets)
+    out = np.zeros_like(frames)
     iterations = []
-    for i in range(targets.shape[0]):
+    for i, frame in enumerate(frames):
         history: list[float] = []
-        out[i] = nnls_solve_one(
-            gram, targets[i], float(sq_norms[i]), bound, max_iter=max_iter,
-            residual_history=history,
-        )
+        out[i] = nnls_solve_one(frame, max_iter=max_iter, residual_history=history)
         iterations.append(len(history) - 1)
     return out, iterations
+
+
+def _iterations(frame: np.ndarray, tol: float, max_iter: int) -> int:
+    history = nnls_residual_history(frame, build_note_dictionary(), tol, max_iter)[1]
+    return len(history) - 1
 
 
 def test_nnls_batch_matches_reference_on_random_frames():
     frames = np.abs(np.random.default_rng(21).standard_normal((12, 73)))
     frames[4] = 0.0
-    gram, targets, sq_norms, bound = _problem(frames)
-    expected, _ = _reference_batch(gram, targets, sq_norms, bound)
-    assert np.array_equal(nnls_batch(gram, targets, sq_norms, bound), expected)
+    expected, _ = _reference_batch(frames)
+    assert np.array_equal(nnls_activations_batch(frames, build_note_dictionary()), expected)
 
 
-def _acceptance_buffer(noise_snr_db: float = 30.0) -> AudioBuffer:
-    """The 8-chord acceptance sequence: 16 s, at 30 dB SNR unless told otherwise."""
-    tokens = ["A", "E7", "A", "f#", "A7", "D", "d", "A"]
+def _acceptance_buffer(noise_snr_db: float = 30.0, repeats: int = 1) -> AudioBuffer:
+    """The 8-chord acceptance sequence, ``repeats`` times over (16 s each), at
+    30 dB SNR unless told otherwise."""
+    tokens = ["A", "E7", "A", "f#", "A7", "D", "d", "A"] * repeats
     return synth.chord_sequence(
         [parse_chord_symbol(t) for t in tokens],
         seconds_each=2.0, harmonics=6, decay=0.8, noise_snr_db=noise_snr_db, seed=7,
@@ -380,13 +396,12 @@ def _acceptance_buffer(noise_snr_db: float = 30.0) -> AudioBuffer:
 def test_nnls_batch_matches_reference_on_acceptance_corpus():
     frames = log_freq_map(stft(_acceptance_buffer()))
     frames[len(frames) // 2] = 0.0
-    gram, targets, sq_norms, bound = _problem(frames)
     # these frames take 38-87 iterations: at 75 a few are cut off
     max_iter = 75
-    expected, iterations = _reference_batch(gram, targets, sq_norms, bound, max_iter)
+    expected, iterations = _reference_batch(frames, max_iter)
     assert iterations[len(frames) // 2] == 0
     assert 0 < min(it for it in iterations if it) < max(iterations) == max_iter
-    got = nnls_batch(gram, targets, sq_norms, bound, max_iter=max_iter)
+    got = nnls_activations_batch(frames, build_note_dictionary(), max_iter=max_iter)
     assert np.array_equal(got, expected)
 
 
@@ -395,10 +410,7 @@ def test_nnls_residual_history_matches_reference():
     for seed in (3, 17):
         frame = np.abs(np.random.default_rng(seed).standard_normal(73))
         expected: list[float] = []
-        reference = nnls_solve_one(
-            dictionary.gram(), frame @ dictionary.profiles, float(frame @ frame),
-            dictionary.step_bound(), residual_history=expected,
-        )
+        reference = nnls_solve_one(frame, residual_history=expected)
         activations, history = nnls_residual_history(frame, dictionary)
         assert history == expected
         assert np.array_equal(activations, reference)
@@ -406,24 +418,29 @@ def test_nnls_residual_history_matches_reference():
 
 
 def test_nnls_batch_satisfies_stationarity():
+    dictionary = build_note_dictionary()
     frames = np.abs(np.random.default_rng(0).standard_normal((6, 73)))
-    gram, targets, sq_norms, bound = _problem(frames)
-    # run well past the default stopping rule to probe the limit point
-    out = nnls_batch(gram, targets, sq_norms, bound, tol=1e-14, max_iter=20000)
-    grad = out @ gram - targets
-    # KKT: gradient ~0 on active coordinates, >= 0 where clamped at zero
-    active = out > 1e-9
-    assert np.abs(grad[active]).max() < 1e-3
-    assert grad[~active].min() > -1e-3
-    assert out.min() >= 0.0
+    targets = frames @ dictionary.profiles
+    # tolerances well past the default probe the limit point; every frame
+    # must reach them, not stall until max_iter
+    max_iter = 20000
+    for tol in (1e-8, 1e-14):
+        assert all(_iterations(frame, tol, max_iter) < max_iter for frame in frames)
+        out = nnls_activations_batch(frames, dictionary, tol, max_iter)
+        grad = out @ dictionary.gram() - targets
+        # KKT: gradient ~0 on active coordinates, >= 0 where clamped at zero
+        active = out > 1e-9
+        assert np.abs(grad[active]).max() < 1e-3
+        assert grad[~active].min() > -1e-3
+        assert out.min() >= 0.0
 
 
 def test_batch_matches_per_frame_solve():
     frames = np.abs(np.random.default_rng(2).standard_normal((4, 73)))
-    gram, targets, sq_norms, bound = _problem(frames)
-    batch = nnls_batch(gram, targets, sq_norms, bound)
-    for i in range(targets.shape[0]):
-        single = nnls_batch(gram, targets[i : i + 1], sq_norms[i : i + 1], bound)[0]
+    dictionary = build_note_dictionary()
+    batch = nnls_activations_batch(frames, dictionary)
+    for i in range(len(frames)):
+        single = nnls_activations_batch(frames[i : i + 1], dictionary)[0]
         assert np.array_equal(batch[i], single)
 
 
@@ -441,6 +458,18 @@ def _frame_batches(draw):
     return frames, np.array(draw(st.permutations(range(count))), dtype=np.intp)
 
 
+def _assert_rows_independent(frames, order, tol, max_iter):
+    """Each frame solves bit for bit alike in the batch, alone and permuted."""
+    dictionary = build_note_dictionary()
+    solved = nnls_activations_batch(frames, dictionary, tol, max_iter)
+    assert solved.shape == frames.shape
+    for i in range(len(frames)):
+        alone = nnls_activations_batch(frames[i : i + 1], dictionary, tol, max_iter)
+        assert np.array_equal(solved[i], alone[0])
+    permuted = nnls_activations_batch(frames[order], dictionary, tol, max_iter)
+    assert np.array_equal(permuted, solved[order])
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     batch=_frame_batches(),
@@ -449,17 +478,14 @@ def _frame_batches(draw):
     max_iter=st.integers(1, 100),
 )
 def test_nnls_batch_rows_are_independent(batch, tol, max_iter):
-    frames, order = batch
-    gram, targets, sq_norms, bound = _problem(frames)
-    solved = nnls_batch(gram, targets, sq_norms, bound, tol, max_iter)
-    assert solved.shape == frames.shape
-    for i in range(len(frames)):
-        alone = nnls_batch(
-            gram, targets[i : i + 1], sq_norms[i : i + 1], bound, tol, max_iter
-        )
-        assert np.array_equal(solved[i], alone[0])
-    permuted = nnls_batch(gram, targets[order], sq_norms[order], bound, tol, max_iter)
-    assert np.array_equal(permuted, solved[order])
+    _assert_rows_independent(*batch, tol, max_iter)
+
+
+def test_nnls_batch_rows_are_independent_on_a_track():
+    """The fixed case: all 688 frames of a 64 s track at 10 dB SNR."""
+    frames = log_freq_map(stft(_acceptance_buffer(noise_snr_db=10.0, repeats=4)))
+    order = np.random.default_rng(5).permutation(len(frames))
+    _assert_rows_independent(frames, order, DEFAULT_TOL, DEFAULT_MAX_ITER)
 
 
 @settings(max_examples=20, deadline=None)
@@ -470,18 +496,15 @@ def test_nnls_batch_rows_are_independent(batch, tol, max_iter):
 )
 def test_nnls_batch_stops_within_its_kkt_bound(batch, tol, max_iter):
     frames, _ = batch
-    gram, targets, sq_norms, bound = _problem(frames)
-    solved = nnls_batch(gram, targets, sq_norms, bound, tol, max_iter)
+    dictionary = build_note_dictionary()
+    solved = nnls_activations_batch(frames, dictionary, tol, max_iter)
     assert (solved >= 0.0).all()
-    gradient = (gram @ solved[:, :, None])[:, :, 0] - targets
+    # h and the gradient as the solver computes them, frame by frame
+    targets = (dictionary.profiles.T @ frames[:, :, None])[:, :, 0]
+    gradient = (dictionary.gram() @ solved[:, :, None])[:, :, 0] - targets
     natural = np.abs(np.minimum(solved, gradient))
     for i in range(len(frames)):
-        history: list[float] = []
-        nnls_batch(
-            gram, targets[i : i + 1], sq_norms[i : i + 1], bound, tol, max_iter,
-            residual_history=history,
-        )
-        if 0 < len(history) - 1 < max_iter:
+        if 0 < _iterations(frames[i], tol, max_iter) < max_iter:
             assert natural[i].max() <= tol * np.abs(targets[i]).max()
 
 

@@ -155,6 +155,18 @@ def test_chord_id_pre_emphasis_flag(tmp_path):
     assert [l["label"] for l in lines] == ["d"]
 
 
+@pytest.mark.parametrize("coefficient", ["nan", "inf", "-inf", "1e308", "1.5", "-1.01"])
+def test_chord_id_rejects_a_pre_emphasis_outside_unit_range(
+    tmp_path, capsys, coefficient
+):
+    buf = synth.chord_sequence([parse_chord_symbol("d")], 2.0)
+    wav = tmp_path / "d.wav"
+    write_wav(wav, buf.samples, buf.sample_rate)
+    # the = form, as argparse would read a bare "-inf" as an option
+    assert _run("chord-id", wav, f"--pre-emphasis={coefficient}") == 2
+    assert "pre-emphasis" in _assert_one_line_error(capsys)
+
+
 def test_chord_id_silence(tmp_path):
     wav = tmp_path / "silence.wav"
     write_wav(wav, np.zeros(22050), 22050)

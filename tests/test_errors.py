@@ -4,6 +4,7 @@ import pytest
 
 from tonnetzlab.chart import ChartError, ChordParseError, MeterMismatch
 from tonnetzlab.chroma import spectral, wavio
+from tonnetzlab.chroma.identify import BadPreEmphasis
 from tonnetzlab.cli import UnknownSection
 from tonnetzlab.errors import TonnetzlabError
 from tonnetzlab.harmony import ChordSyntaxError, UnknownRootLetter
@@ -27,6 +28,7 @@ from tonnetzlab.transforms import TooShort
         wavio.CorruptHeader,
         spectral.TooShort,
         spectral.SampleRateTooLow,
+        BadPreEmphasis,
         UnknownSection,
     ],
     ids=lambda error: f"{error.__module__}.{error.__name__}",
