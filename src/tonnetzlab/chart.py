@@ -9,7 +9,8 @@ Header lines come first::
     meter: 4/4
     form: Verse Bridge Verse Bridge Interlude Bridge Coda
 
-``meter`` uses the numerator as beats per measure (quarter-note beat).
+``meter``'s numerator counts quarter-note beats per measure, from 1 to 12; the
+denominator is not read, so ``6/8`` is a measure of six beats.
 ``form`` lists section names in playing order; every name must be defined.
 Sections may also be defined without appearing in the form.
 
@@ -39,6 +40,8 @@ from .harmony import (
     parse_pitch_class,
     pitch_class_name,
 )
+
+MAX_METER = 12  # beats per measure
 
 
 class ChartError(TonnetzlabError):
@@ -113,11 +116,21 @@ def _strip_comment(line: str) -> str:
     return line
 
 
+def _beats(text: str) -> int | None:
+    # no count of beats reaches 100, and int() refuses a numeral over 4300 digits
+    digits = text.lstrip("0")
+    if not text.isdecimal() or not 1 <= len(digits) <= 2:
+        return None
+    return int(digits)
+
+
 def _parse_meter(text: str, line_no: int) -> int:
-    head = text.split("/", 1)[0].strip()
-    if not head.isdecimal() or int(head) < 1:
-        raise ChartError(f"line {line_no}: bad meter {text!r}")
-    return int(head)
+    beats = _beats(text.split("/", 1)[0].strip())
+    if beats is None or beats > MAX_METER:
+        raise ChartError(
+            f"line {line_no}: bad meter {text!r} (1 to {MAX_METER} beats a measure)"
+        )
+    return beats
 
 
 def _parse_event(token: str, line_no: int, column: int, meter: int) -> ChordEvent:
@@ -125,9 +138,9 @@ def _parse_event(token: str, line_no: int, column: int, meter: int) -> ChordEven
     body = token[1:] if tied else token
     if ":" in body:
         chord_text, _, beats_text = body.partition(":")
-        if not beats_text.isdecimal() or int(beats_text) < 1:
+        duration = _beats(beats_text)
+        if duration is None:
             raise ChordParseError(line_no, column, f"bad duration in {token!r}")
-        duration = int(beats_text)
     else:
         chord_text, duration = body, meter
     try:

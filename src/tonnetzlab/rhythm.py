@@ -1,7 +1,7 @@
 """Harmonic-rhythm clocks over two-measure windows.
 
-Chord onsets are plotted on a clock of 8 hours (one hour per quarter-note
-beat, two 4/4 measures per cycle), hour 0 at the top, running clockwise.
+Chord onsets are plotted on a clock of one hour per quarter-note beat over two
+measures (8 hours in 4/4, 6 in 3/4), hour 0 at the top, running clockwise.
 Windows tile a section from its first beat. A chord sustained across a window
 boundary produces no onset in the later window, so a window can be a pure
 continuation with an empty clock.
@@ -14,15 +14,9 @@ import math
 from dataclasses import dataclass
 
 from .chart import TimedChord
-from .errors import TonnetzlabError
 from .lattice import _fmt
 
-HOURS_PER_CYCLE = 8  # one hour per quarter-note beat
 WINDOW_MEASURES = 2  # measures per clock window
-
-
-class WindowMismatch(TonnetzlabError):
-    """meter * WINDOW_MEASURES must equal the clock's hour count."""
 
 
 class RhythmClass(enum.Enum):
@@ -37,11 +31,12 @@ class RhythmClock:
     """Chord onsets of one window: (hour, chord label) pairs, hours ascending."""
 
     onsets: tuple[tuple[int, str], ...]
+    cycle: int  # hours on the dial: one per beat of the window
     partial: bool = False  # trailing window extends past the section's end
 
     def __post_init__(self) -> None:
         hours = [h for h, _ in self.onsets]
-        if any(not 0 <= h < HOURS_PER_CYCLE for h in hours):
+        if any(not 0 <= h < self.cycle for h in hours):
             raise ValueError("onset hour outside the cycle")
         if any(a >= b for a, b in zip(hours, hours[1:])):
             raise ValueError("onset hours must be strictly increasing")
@@ -60,36 +55,31 @@ class RhythmClock:
 
 
 def clocks_for(timed: list[TimedChord], meter: int) -> list[RhythmClock]:
-    """Tile a section's timed chords into per-window rhythm clocks."""
-    if meter * WINDOW_MEASURES != HOURS_PER_CYCLE:
-        raise WindowMismatch(
-            f"{meter} beats x {WINDOW_MEASURES} measures != "
-            f"{HOURS_PER_CYCLE}-hour cycle"
-        )
+    """Tile a section's timed chords into clocks of two ``meter``-beat measures."""
+    cycle = meter * WINDOW_MEASURES
     total = max((t.onset + t.duration for t in timed), default=0)
-    count = math.ceil(total / HOURS_PER_CYCLE) if total else 0
     clocks = []
-    for w in range(count):
-        start = w * HOURS_PER_CYCLE
+    for start in range(0, total, cycle):
         onsets = tuple(
             (t.onset - start, t.symbol.display)
             for t in timed
-            if start <= t.onset < start + HOURS_PER_CYCLE
+            if start <= t.onset < start + cycle
         )
-        clocks.append(RhythmClock(onsets, partial=start + HOURS_PER_CYCLE > total))
+        clocks.append(RhythmClock(onsets, cycle, partial=start + cycle > total))
     return clocks
 
 
 def classify_rhythm(clock: RhythmClock) -> RhythmClass:
-    """Whole-note, half-note, or mixed, from the cyclic onset gaps."""
+    """Whole-note (every cyclic gap a measure), half-note (half one) or mixed."""
     if clock.is_continuation:
         return RhythmClass.CONTINUATION
     hours = clock.hours
+    measure = clock.cycle // WINDOW_MEASURES
     gaps = [b - a for a, b in zip(hours, hours[1:])]
-    gaps.append(hours[0] + HOURS_PER_CYCLE - hours[-1])
-    if all(g == 4 for g in gaps):
+    gaps.append(hours[0] + clock.cycle - hours[-1])
+    if all(g == measure for g in gaps):
         return RhythmClass.WHOLE_NOTE
-    if all(g == 2 for g in gaps):
+    if all(2 * g == measure for g in gaps):
         return RhythmClass.HALF_NOTE
     return RhythmClass.MIXED
 
@@ -100,12 +90,12 @@ def reflect_clock(clock: RhythmClock, axis_hour: int) -> RhythmClock:
     Each onset hour h maps to (2 * axis_hour - h) mod cycle; labels ride
     along and the onsets are re-sorted. An involution for every axis.
     """
-    if not 0 <= axis_hour < HOURS_PER_CYCLE:
+    if not 0 <= axis_hour < clock.cycle:
         raise ValueError(f"axis hour {axis_hour} outside the cycle")
     mirrored = sorted(
-        ((2 * axis_hour - h) % HOURS_PER_CYCLE, label) for h, label in clock.onsets
+        ((2 * axis_hour - h) % clock.cycle, label) for h, label in clock.onsets
     )
-    return RhythmClock(tuple(mirrored), clock.partial)
+    return RhythmClock(tuple(mirrored), clock.cycle, clock.partial)
 
 
 @dataclass(frozen=True)
@@ -119,11 +109,11 @@ class Alternation:
 
 @dataclass(frozen=True)
 class ReflectionPair:
-    """Two distinct clocks whose hour sets mirror through hours 0 and 4."""
+    """Two distinct clocks whose hour sets mirror through hour 0 and its opposite."""
 
     first: int
     second: int
-    axis_hours: tuple[int, int] = (0, 4)
+    axis_hours: tuple[int, int]  # (0, cycle / 2)
 
 
 @dataclass(frozen=True)
@@ -155,27 +145,22 @@ def detect_substructures(clocks: list[RhythmClock]) -> SubstructureReport:
 
     Clocks are distinct when either their hour sets or their label sequences
     differ (the same rhythm over different chords is a different
-    substructure). Reflection relations through the 0-4 mirror are reported
-    for distinct pairs, comparing hour sets only.
+    substructure). Reflections through the mirror from hour 0 to the opposite
+    hour are reported for distinct pairs, comparing hour sets only.
     """
     distinct: list[RhythmClock] = []
     occurrence: list[int] = []
     for clock in clocks:
-        key = (clock.onsets, clock.partial)
-        for idx, seen in enumerate(distinct):
-            if (seen.onsets, seen.partial) == key:
-                occurrence.append(idx)
-                break
-        else:
-            occurrence.append(len(distinct))
+        if clock not in distinct:
             distinct.append(clock)
+        occurrence.append(distinct.index(clock))
 
     reflections = []
     for i in range(len(distinct)):
         for j in range(i + 1, len(distinct)):
             mirrored = set(reflect_clock(distinct[i], 0).hours)
             if mirrored == set(distinct[j].hours):
-                reflections.append(ReflectionPair(i, j))
+                reflections.append(ReflectionPair(i, j, (0, distinct[i].cycle // 2)))
 
     return SubstructureReport(
         tuple(distinct),
@@ -194,8 +179,8 @@ _CLOCK_STYLE = (
 )
 
 
-def _hour_xy(hour: float, radius: float, cx: float, cy: float):
-    theta = 2.0 * math.pi * hour / HOURS_PER_CYCLE  # clockwise from the top
+def _hour_xy(hour: float, cycle: int, radius: float, cx: float, cy: float):
+    theta = 2.0 * math.pi * hour / cycle  # clockwise from the top
     return cx + radius * math.sin(theta), cy - radius * math.cos(theta)
 
 
@@ -205,19 +190,19 @@ def render_clock_svg(clock: RhythmClock) -> str:
     parts = [
         f'<circle class="clock-rim" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(rim)}"/>'
     ]
-    for hour in range(HOURS_PER_CYCLE):
-        x1, y1 = _hour_xy(hour, rim - 7, cx, cy)
-        x2, y2 = _hour_xy(hour, rim, cx, cy)
+    for hour in range(clock.cycle):
+        x1, y1 = _hour_xy(hour, clock.cycle, rim - 7, cx, cy)
+        x2, y2 = _hour_xy(hour, clock.cycle, rim, cx, cy)
         parts.append(
             f'<line class="clock-tick" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
             f'x2="{_fmt(x2)}" y2="{_fmt(y2)}"/>'
         )
     for hour, label in clock.onsets:
-        dx, dy = _hour_xy(hour, rim, cx, cy)
+        dx, dy = _hour_xy(hour, clock.cycle, rim, cx, cy)
         parts.append(
             f'<circle class="clock-onset" cx="{_fmt(dx)}" cy="{_fmt(dy)}" r="5.00"/>'
         )
-        lx, ly = _hour_xy(hour, rim + 22, cx, cy)
+        lx, ly = _hour_xy(hour, clock.cycle, rim + 22, cx, cy)
         parts.append(
             f'<text class="clock-label" x="{_fmt(lx)}" y="{_fmt(ly + 5)}">'
             f"{_escape(label)}</text>"

@@ -18,7 +18,6 @@ import enum
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import TonnetzlabError
 from .harmony import (
     ALL_TRIADS,
     ChordSymbol,
@@ -29,10 +28,6 @@ from .harmony import (
     roman_numeral,
     triad_of,
 )
-
-
-class TooShort(TonnetzlabError):
-    """A progression needs at least two chords to contain a move."""
 
 
 class NeoRiemannianOp(enum.Enum):
@@ -178,9 +173,7 @@ def detect_cadences(roman: tuple[RomanLabel, ...]) -> tuple[Cadence, ...]:
 def annotate_progression(
     chords: list[ChordSymbol] | tuple[ChordSymbol, ...], key: Key
 ) -> ProgressionAnnotation:
-    """Move classification, Roman labels, and cadences for a chord sequence."""
-    if len(chords) < 2:
-        raise TooShort("a progression needs at least two chords")
+    """Move classification, Roman labels, and cadences (no moves below two chords)."""
     chords = tuple(chords)
     moves = tuple(classify_move(a, b) for a, b in zip(chords, chords[1:]))
     roman = tuple(roman_numeral(c, key) for c in chords)

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import math
+import tempfile
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tonnetzlab.chart import (
@@ -19,7 +23,9 @@ from tonnetzlab.chart import (
     progression,
     serialize_chart,
 )
+from tonnetzlab.cli import main
 from tonnetzlab.harmony import ChordSymbol, Embellishment, Key, Quality, pitch_class_set
+from tonnetzlab.rhythm import clocks_for
 
 MINIMAL_HEADER = "key: A\nmeter: 4/4\nform: Main\n"
 
@@ -90,13 +96,30 @@ def test_chord_parse_error_column_is_the_failing_token():
     [
         (_chart("A", header="key: A\nmeter: \u00b2/4\nform: Main\n"), ChartError),
         (_chart("A:\u00b2 E:2"), ChordParseError),
+        (_chart("A", f"key: A\nmeter: {'4' * 5000}/4\nform: Main\n"), ChartError),
+        (_chart(f"A:{'4' * 5000}"), ChordParseError),
     ],
-    ids=["meter", "duration"],
+    ids=["meter", "duration", "meter-over-4300-digits", "duration-over-4300-digits"],
 )
 def test_non_decimal_digits_are_a_chart_error(text, error):
-    # "\u00b2" (superscript two) passes str.isdigit but int() rejects it
+    # "\u00b2" (superscript two) passes str.isdigit but int() rejects it, as it
+    # rejects a numeral of more than 4300 digits
     with pytest.raises(error):
         parse_chart(text)
+
+
+@pytest.mark.parametrize("meter", ["0/4", "13/4", "300000/4", "x/4"])
+def test_meter_outside_one_to_twelve_beats_is_a_chart_error(meter):
+    with pytest.raises(ChartError, match="bad meter"):
+        parse_chart(_chart("A", header=f"key: A\nmeter: {meter}\nform: Main\n"))
+
+
+@pytest.mark.parametrize("meter, beats", [("1/4", 1), ("012/8", 12), ("6/8", 6)])
+def test_meter_numerator_counts_beats(meter, beats):
+    doc = parse_chart(_chart("A", header=f"key: A\nmeter: {meter}\nform: Main\n"))
+    assert doc.meter == beats
+    (measure,) = doc.sections["Main"].measures
+    assert [e.duration for e in measure] == [beats]
 
 
 def test_missing_headers_reported():
@@ -232,14 +255,14 @@ def _chords(draw) -> ChordSymbol:
 
 
 @st.composite
-def _sections(draw, name: str) -> Section:
-    """0-4 measures of 4/4, each cut into durations summing to 4; ties continue."""
+def _sections(draw, name: str, meter: int) -> Section:
+    """0-4 measures, each cut into durations summing to ``meter``; ties continue."""
     measures: list[tuple[ChordEvent, ...]] = []
     last: ChordEvent | None = None
     for _ in range(draw(st.integers(0, 4))):
-        cuts = sorted(draw(st.sets(st.sampled_from([1, 2, 3]))))
+        cuts = sorted(draw(st.sets(st.sampled_from(range(1, meter)))))
         events = []
-        for start, end in zip([0, *cuts], [*cuts, 4]):
+        for start, end in zip([0, *cuts], [*cuts, meter]):
             tied = last is not None and draw(st.booleans())
             symbol = last.symbol if tied else draw(_chords())
             last = ChordEvent(symbol, end - start, tied)
@@ -258,11 +281,13 @@ _NAMES = st.text(st.sampled_from("abcXYZ019:'()-|~/é#"), min_size=1, max_size=6
 
 @st.composite
 def _documents(draw) -> ChartDocument:
+    """Charts in 3/4, 4/4 or 6/8 (six beats a measure)."""
+    meter = draw(st.sampled_from([3, 4, 6]))
     names = draw(st.lists(_NAMES, min_size=1, max_size=3, unique=True))
-    sections = {name: draw(_sections(name)) for name in names}
+    sections = {name: draw(_sections(name, meter)) for name in names}
     form = tuple(draw(st.lists(st.sampled_from(names), max_size=5)))
     key = Key(draw(st.integers(0, 11)))
-    return ChartDocument(draw(_TITLES), key, 4, form, sections)
+    return ChartDocument(draw(_TITLES), key, meter, form, sections)
 
 
 @settings(max_examples=60, deadline=None)
@@ -278,6 +303,44 @@ def test_serialize_parse_round_trip_on_generated_charts(doc):
     assert again == doc
     assert list(again.sections) == list(doc.sections)
     assert serialize_chart(again) == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=_documents())
+def test_clocks_tile_generated_sections(doc):
+    cycle = 2 * doc.meter
+    for section in doc.sections.values():
+        timed = flatten(section)
+        clocks = clocks_for(timed, doc.meter)
+        total = doc.meter * len(section.measures)
+        assert len(clocks) == math.ceil(total / cycle)
+        assert all(c.cycle == cycle and all(h < cycle for h in c.hours) for c in clocks)
+        onsets = [
+            (i * cycle + h, label) for i, c in enumerate(clocks) for h, label in c.onsets
+        ]
+        assert onsets == [(t.onset, t.symbol.display) for t in timed]
+
+
+@settings(max_examples=25, deadline=None)
+@given(doc=_documents())
+def test_chart_commands_exit_0_on_generated_charts(doc):
+    try:
+        text = serialize_chart(doc)
+    except ChartError:
+        assume(False)
+    with tempfile.TemporaryDirectory() as tmp:
+        chart = Path(tmp) / "generated.chart"
+        chart.write_text(text, encoding="utf-8")
+        assert main(["analyze", str(chart), "--out", str(Path(tmp) / "r.json")]) == 0
+        for index, (name, section) in enumerate(doc.sections.items()):
+            # the = form, as argparse would read a name like "-x" as an option
+            flag = f"--section={name}"
+            svg, clocks = Path(tmp) / "t.svg", Path(tmp) / f"clocks-{index}"
+            tonnetz = main(["render-tonnetz", str(chart), flag, "--out", str(svg)])
+            # only a section without a chord has no path to draw
+            assert tonnetz == (0 if section.measures else 2)
+            argv = ["render-clocks", str(chart), flag, "--out-dir", str(clocks)]
+            assert main(argv) == 0
 
 
 @pytest.mark.parametrize(

@@ -209,28 +209,63 @@ def test_render_outputs_byte_identical_across_runs(lead_chart_path, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-WALTZ_CHART = b"key: A\nmeter: 3/4\nform: Verse\n[Verse]\nA | E7\n"
+def _chart_flags(command: str, tmp_path: Path) -> list:
+    return {
+        "analyze": [],
+        "render-tonnetz": ["--section", "Verse"],
+        "render-clocks": ["--section", "Verse", "--out-dir", tmp_path / "clocks"],
+    }[command]
+
+
+@pytest.mark.parametrize("meter_text", ["3/4", "6/8"], ids=["3-4", "6-8"])
+def test_odd_meter_charts_get_two_measure_clocks(tmp_path, meter_text):
+    meter = int(meter_text.split("/")[0])
+    # hours {0, meter - 1, meter} and {0, meter, meter + 1} mirror through hour 0
+    body = f"A:{meter - 1} E:1 | D | A | D:1 E:{meter - 1}"
+    path = tmp_path / "input.chart"
+    path.write_text(
+        f"key: A\nmeter: {meter_text}\nform: Verse\n[Verse]\n{body}\n", encoding="utf-8"
+    )
+    report = tmp_path / "report.json"
+    assert _run("analyze", path, "--out", report) == 0
+    (verse,) = json.loads(report.read_text(encoding="utf-8"))["sections"]
+    reflections = verse["rhythm"]["reflections"]
+    assert reflections == [{"clocks": [0, 1], "axis_hours": [0, meter]}]
+    assert _run("render-clocks", path, *_chart_flags("render-clocks", tmp_path)) == 0
+    svgs = sorted((tmp_path / "clocks").iterdir())
+    assert len(svgs) == 2
+    for svg in svgs:
+        ticks = [el for el in ET.parse(svg).iter() if el.get("class") == "clock-tick"]
+        assert len(ticks) == 2 * meter
+
+
+def test_one_chord_section_is_one_circle_and_no_arrow(tmp_path):
+    path = tmp_path / "input.chart"
+    path.write_bytes(b"key: A\nmeter: 4/4\nform: Verse\n[Verse]\nA\n")
+    out = tmp_path / "verse.svg"
+    assert _run("render-tonnetz", path, "--section", "Verse", "--out", out) == 0
+    classes = [el.get("class") or "" for el in ET.parse(out).iter()]
+    assert classes.count("chord-circle") == 1
+    assert not [c for c in classes if "move-arrow" in c]
 
 
 @pytest.mark.parametrize(
     "chart, command",
     [
-        (WALTZ_CHART, "analyze"),
-        (WALTZ_CHART, "render-clocks"),
-        (b"key: A\nmeter: 4/4\nform: Verse\n[Verse]\nA\n", "render-tonnetz"),
         (b"key: A\nmeter: 4/4\nform: Verse\n[Verse]\nA | E7 \xff\n", "analyze"),
+        (b"key: A\nmeter: 4/4\nform: Verse\n[Verse]\n", "render-tonnetz"),
+        (b"key: A\nmeter: 13/4\nform: Verse\n[Verse]\nA\n", "analyze"),
+        (f"key: A\nmeter: {'4' * 5000}/4\nform: Verse\n".encode(), "analyze"),
+        (f"key: A\nmeter: 4/4\nform: Verse\n[Verse]\nA:{'4' * 5000}\n".encode(),
+         "render-clocks"),
     ],
-    ids=["meter-3-analyze", "meter-3-render-clocks", "one-chord-section", "not-utf-8"],
+    ids=["not-utf-8", "empty-section", "meter-13", "meter-over-4300-digits",
+         "duration-over-4300-digits"],
 )
 def test_unanalysable_chart_is_a_one_line_error(tmp_path, capsys, chart, command):
     path = tmp_path / "input.chart"
     path.write_bytes(chart)
-    flags = {
-        "analyze": [],
-        "render-tonnetz": ["--section", "Verse"],
-        "render-clocks": ["--section", "Verse", "--out-dir", tmp_path / "clocks"],
-    }[command]
-    assert _run(command, path, *flags) == 2
+    assert _run(command, path, *_chart_flags(command, tmp_path)) == 2
     err = _assert_one_line_error(capsys)
     if b"\xff" in chart:  # the line names the file and the offset of the bad byte
         assert f"{path}: byte 45 is not UTF-8" in err
@@ -317,7 +352,7 @@ def test_only_chord_id_imports_numpy(lead_chart_path, tmp_path):
     assert done.stdout.split() == ["False", "True"]
 
 
-# lines valid in 4/4, valid only in 3/4 (which cannot tile the clocks), or never valid
+# lines valid in every meter, in 4/4, in 3/4 or in 6/8 only, or never valid
 _CHART_LINES = [
     "A | E7",
     "f#:2 A7:2 | D:2 d:2",
@@ -325,6 +360,7 @@ _CHART_LINES = [
     "D:2 ~D:2",
     "E:3 ~E:1",
     "A:3",
+    "A:3 E:3",
     "A7:2 7:2",
     "A:\u00b2 E:2",
     "[Verse]",
@@ -337,6 +373,7 @@ _CHART_BYTES = st.one_of(
             [
                 "key: A\nmeter: 4/4\nform: Verse\n[Verse]\n",
                 "key: A\nmeter: 3/4\nform: Verse\n[Verse]\n",
+                "key: A\nmeter: 6/8\nform: Verse\n[Verse]\n",
             ]
         ),
         st.lists(st.sampled_from(_CHART_LINES), max_size=6),

@@ -1,37 +1,41 @@
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 
-from tonnetzlab.chart import ChartError, ChordParseError, MeterMismatch
-from tonnetzlab.chroma import spectral, wavio
-from tonnetzlab.chroma.identify import BadPreEmphasis
-from tonnetzlab.cli import UnknownSection
+import tonnetzlab
 from tonnetzlab.errors import TonnetzlabError
-from tonnetzlab.harmony import ChordSyntaxError, UnknownRootLetter
-from tonnetzlab.lattice import EmptyEmbedding
-from tonnetzlab.rhythm import WindowMismatch
-from tonnetzlab.transforms import TooShort
+
+
+def _exception_classes() -> list[type]:
+    """Every exception class defined in a module of the tonnetzlab package."""
+    found = []
+    for info in pkgutil.walk_packages(tonnetzlab.__path__, "tonnetzlab."):
+        if info.name.endswith(".__main__"):  # importing it runs the command line
+            continue
+        module = importlib.import_module(info.name)
+        found += [
+            value
+            for value in vars(module).values()
+            if isinstance(value, type)
+            and issubclass(value, BaseException)
+            and value.__module__ == module.__name__
+        ]
+    return found
+
+
+_EXCEPTIONS = _exception_classes()
+
+
+def test_the_walk_finds_the_domain_errors():
+    names = {error.__name__ for error in _EXCEPTIONS}
+    assert {"TonnetzlabError", "ChartError", "EmptyEmbedding", "CorruptHeader"} <= names
 
 
 @pytest.mark.parametrize(
-    "error",
-    [
-        ChartError,
-        ChordParseError,
-        MeterMismatch,
-        ChordSyntaxError,
-        UnknownRootLetter,
-        TooShort,
-        EmptyEmbedding,
-        WindowMismatch,
-        wavio.UnsupportedFormat,
-        wavio.CorruptHeader,
-        spectral.TooShort,
-        spectral.SampleRateTooLow,
-        BadPreEmphasis,
-        UnknownSection,
-    ],
-    ids=lambda error: f"{error.__module__}.{error.__name__}",
+    "error", _EXCEPTIONS, ids=lambda error: f"{error.__module__}.{error.__name__}"
 )
 def test_domain_errors_share_one_base(error):
     assert issubclass(error, TonnetzlabError)

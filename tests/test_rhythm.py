@@ -9,7 +9,6 @@ from tonnetzlab.chart import flatten, parse_chart
 from tonnetzlab.rhythm import (
     RhythmClass,
     RhythmClock,
-    WindowMismatch,
     classify_rhythm,
     clocks_for,
     detect_substructures,
@@ -17,17 +16,32 @@ from tonnetzlab.rhythm import (
     render_clock_svg,
 )
 
-MINIMAL_HEADER = "key: A\nmeter: 4/4\nform: Main\n"
+CYCLES = (6, 8, 12)  # two measures of 3/4, 4/4 and 6/8
 
 
-def _timed(body: str):
-    doc = parse_chart(MINIMAL_HEADER + "[Main]\n" + body + "\n")
+def _timed(body: str, meter: int = 4):
+    doc = parse_chart(f"key: A\nmeter: {meter}/4\nform: Main\n[Main]\n{body}\n")
     return flatten(doc.sections["Main"])
 
 
-def test_window_mismatch():
-    with pytest.raises(WindowMismatch):
-        clocks_for(_timed("A | E7"), meter=3)
+def _clocks(cycle: int) -> list[RhythmClock]:
+    """A whole-note clock, a half-note one where a measure halves, two mixed ones."""
+    measure = cycle // 2
+    clocks = [RhythmClock(((0, "A"), (measure, "E7")), cycle)]
+    if measure % 2 == 0:
+        halves = range(0, cycle, measure // 2)
+        clocks.append(RhythmClock(tuple((h, f"c{h}") for h in halves), cycle))
+    clocks.append(RhythmClock(((0, "A"), (measure, "f#"), (cycle - 2, "A7")), cycle))
+    clocks.append(RhythmClock(((1, "x"), (2, "y"), (cycle - 1, "z")), cycle))
+    return clocks
+
+
+@pytest.mark.parametrize("meter", [3, 4, 6, 12])
+def test_clock_has_one_hour_per_beat_of_two_measures(meter):
+    clocks = clocks_for(_timed(" | ".join(["A"] * 5), meter), meter)
+    assert [c.cycle for c in clocks] == [2 * meter] * 3
+    assert [c.hours for c in clocks] == [(0, meter)] * 2 + [(0,)]
+    assert [c.partial for c in clocks] == [False, False, True]
 
 
 def test_whole_note_opening_gives_identical_clocks():
@@ -74,49 +88,79 @@ def test_every_onset_lands_in_exactly_one_window(lead_chart):
 
 
 def test_classification_rules():
-    assert classify_rhythm(RhythmClock(((0, "A"), (4, "E7")))) is RhythmClass.WHOLE_NOTE
     assert (
-        classify_rhythm(RhythmClock(((0, "a"), (2, "b"), (4, "c"), (6, "d"))))
+        classify_rhythm(RhythmClock(((0, "A"), (4, "E7")), 8))
+        is RhythmClass.WHOLE_NOTE
+    )
+    assert (
+        classify_rhythm(RhythmClock(((0, "a"), (2, "b"), (4, "c"), (6, "d")), 8))
         is RhythmClass.HALF_NOTE
     )
-    assert classify_rhythm(RhythmClock(((0, "A"), (4, "f#"), (6, "A7")))) is RhythmClass.MIXED
-    assert classify_rhythm(RhythmClock(())) is RhythmClass.CONTINUATION
+    assert (
+        classify_rhythm(RhythmClock(((0, "A"), (4, "f#"), (6, "A7")), 8))
+        is RhythmClass.MIXED
+    )
+    assert classify_rhythm(RhythmClock((), 8)) is RhythmClass.CONTINUATION
+
+
+@pytest.mark.parametrize(
+    "meter, body, classes",
+    [
+        (3, "A | E7", ["whole_note"]),
+        (3, "A:2 E:1 | A:2 E:1", ["mixed"]),
+        # a beat is a third of a 3/4 measure, so 3/4 has no half-note clock
+        (3, "A:1 E:1 D:1 | A:1 E:1 D:1", ["mixed"]),
+        (6, "A | E7", ["whole_note"]),
+        (6, "A:3 E:3 | A:3 E:3", ["half_note"]),
+        # one measure fills half the 12-hour dial: the gap back to hour 0 is 9
+        (6, "A:3 E:3", ["mixed"]),
+        (6, "A:3 E:3 | D", ["mixed"]),
+    ],
+)
+def test_classification_in_three_four_and_six_eight(meter, body, classes):
+    report = detect_substructures(clocks_for(_timed(body, meter), meter))
+    assert [c.value for c in report.classifications] == classes
 
 
 def test_reflection_example():
-    clock = RhythmClock(((0, "A"), (4, "f#"), (6, "A7")))
+    clock = RhythmClock(((0, "A"), (4, "f#"), (6, "A7")), 8)
     assert reflect_clock(clock, 0).hours == (0, 2, 4)
 
 
 def test_reflection_is_involution_and_preserves_labels():
-    clocks = [
-        RhythmClock(((0, "A"), (4, "E7"))),
-        RhythmClock(((0, "A"), (4, "f#"), (6, "A7"))),
-        RhythmClock(((1, "x"), (2, "y"), (7, "z"))),
-        RhythmClock(()),
-    ]
-    for clock, axis in itertools.product(clocks, range(8)):
-        back = reflect_clock(reflect_clock(clock, axis), axis)
-        assert back == clock
-        mirrored = reflect_clock(clock, axis)
-        assert sorted(mirrored.labels) == sorted(clock.labels)
-        assert len(mirrored.hours) == len(clock.hours)
+    for cycle in CYCLES:
+        clocks = [*_clocks(cycle), RhythmClock((), cycle)]
+        for clock, axis in itertools.product(clocks, range(cycle)):
+            back = reflect_clock(reflect_clock(clock, axis), axis)
+            assert back == clock
+            mirrored = reflect_clock(clock, axis)
+            assert mirrored.cycle == cycle
+            assert sorted(mirrored.labels) == sorted(clock.labels)
+            assert len(mirrored.hours) == len(clock.hours)
 
 
 def test_reflection_preserves_classification():
-    clocks = [
-        RhythmClock(((0, "A"), (4, "E7"))),
-        RhythmClock(((0, "A"), (2, "b"), (4, "c"), (6, "d"))),
-        RhythmClock(((0, "A"), (4, "f#"), (6, "A7"))),
-        RhythmClock(((0, "D"), (2, "d"), (4, "A"))),
-    ]
-    for clock, axis in itertools.product(clocks, range(8)):
-        assert classify_rhythm(reflect_clock(clock, axis)) is classify_rhythm(clock)
+    for cycle in CYCLES:
+        clocks = _clocks(cycle)
+        expected = ["whole_note"] + ["half_note"] * (cycle % 4 == 0) + ["mixed"] * 2
+        assert [classify_rhythm(c).value for c in clocks] == expected
+        for clock, axis in itertools.product(clocks, range(cycle)):
+            assert classify_rhythm(reflect_clock(clock, axis)) is classify_rhythm(clock)
 
 
 def test_single_onset_fixed_under_the_zero_four_mirror():
-    clock = RhythmClock(((0, "A"),))
+    clock = RhythmClock(((0, "A"),), 8)
     assert reflect_clock(clock, 4).hours == (0,)
+
+
+@pytest.mark.parametrize("meter", [3, 4, 6])
+def test_reflection_axis_is_hour_zero_and_its_opposite(meter):
+    # hours {0, meter - 1, meter} mirror through hour 0 onto {0, meter, meter + 1}
+    body = f"A:{meter - 1} E:1 | D | A | D:1 E:{meter - 1}"
+    report = detect_substructures(clocks_for(_timed(body, meter), meter))
+    (pair,) = report.reflections
+    assert (pair.first, pair.second) == (0, 1)
+    assert pair.axis_hours == (0, meter)
 
 
 def test_lead_verse_substructures(lead_chart):
@@ -162,7 +206,7 @@ def test_recorded_bridge_split_measure_is_mixed(recorded_chart):
 
 
 def test_clock_svg_labels_and_ticks():
-    svg = render_clock_svg(RhythmClock(((0, "A"), (4, "E7"))))
+    svg = render_clock_svg(RhythmClock(((0, "A"), (4, "E7")), 8))
     root = ET.fromstring(svg)
     ticks = [el for el in root.iter() if el.get("class") == "clock-tick"]
     labels = [el for el in root.iter() if el.get("class") == "clock-label"]
@@ -175,14 +219,15 @@ def test_clock_svg_labels_and_ticks():
 
 
 def test_clock_svg_empty_clock_has_rim_and_ticks_only():
-    svg = render_clock_svg(RhythmClock(()))
-    root = ET.fromstring(svg)
-    assert [el for el in root.iter() if el.get("class") == "clock-rim"]
-    assert len([el for el in root.iter() if el.get("class") == "clock-tick"]) == 8
-    assert not [el for el in root.iter() if el.get("class") == "clock-onset"]
+    for cycle in CYCLES:
+        root = ET.fromstring(render_clock_svg(RhythmClock((), cycle)))
+        assert [el for el in root.iter() if el.get("class") == "clock-rim"]
+        ticks = [el for el in root.iter() if el.get("class") == "clock-tick"]
+        assert len(ticks) == cycle
+        assert not [el for el in root.iter() if el.get("class") == "clock-onset"]
 
 
 def test_clock_svg_deterministic():
-    clock = RhythmClock(((0, "B/F#"), (2, "f#7"), (3, "B/F#"), (4, "D6")))
+    clock = RhythmClock(((0, "B/F#"), (2, "f#7"), (3, "B/F#"), (4, "D6")), 8)
     assert render_clock_svg(clock) == render_clock_svg(clock)
     ET.fromstring(render_clock_svg(clock))

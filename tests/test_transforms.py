@@ -2,13 +2,10 @@ from __future__ import annotations
 
 import itertools
 
-import pytest
-
 from tonnetzlab.harmony import ALL_TRIADS, Key, Quality, Triad, parse_chord_symbol
 from tonnetzlab.transforms import (
     MoveKind,
     NeoRiemannianOp,
-    TooShort,
     annotate_progression,
     apply_nr,
     classify_move,
@@ -132,9 +129,11 @@ def test_relative_applies_in_both_directions():
     assert back.nr_name is NeoRiemannianOp.R
 
 
-def test_annotate_rejects_single_chord():
-    with pytest.raises(TooShort):
-        annotate_progression([parse_chord_symbol("A")], Key(A))
+def test_annotate_single_chord_has_no_moves():
+    annotation = annotate_progression([parse_chord_symbol("A")], Key(A))
+    assert annotation.moves == ()
+    assert [label.text for label in annotation.roman] == ["I"]
+    assert annotate_progression([], Key(A)).moves == ()
 
 
 def test_annotate_interlude_arities():
