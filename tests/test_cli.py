@@ -217,8 +217,13 @@ def _chart_flags(command: str, tmp_path: Path) -> list:
     }[command]
 
 
-@pytest.mark.parametrize("meter_text", ["3/4", "6/8"], ids=["3-4", "6-8"])
-def test_odd_meter_charts_get_two_measure_clocks(tmp_path, meter_text):
+@pytest.mark.parametrize(
+    "meter_text, command",
+    [("3/4", "analyze"), ("3/4", "render-clocks"),
+     ("6/8", "analyze"), ("6/8", "render-clocks")],
+    ids=["3-4-analyze", "3-4-render-clocks", "6-8-analyze", "6-8-render-clocks"],
+)
+def test_odd_meter_charts_get_two_measure_clocks(tmp_path, meter_text, command):
     meter = int(meter_text.split("/")[0])
     # hours {0, meter - 1, meter} and {0, meter, meter + 1} mirror through hour 0
     body = f"A:{meter - 1} E:1 | D | A | D:1 E:{meter - 1}"
@@ -226,11 +231,13 @@ def test_odd_meter_charts_get_two_measure_clocks(tmp_path, meter_text):
     path.write_text(
         f"key: A\nmeter: {meter_text}\nform: Verse\n[Verse]\n{body}\n", encoding="utf-8"
     )
-    report = tmp_path / "report.json"
-    assert _run("analyze", path, "--out", report) == 0
-    (verse,) = json.loads(report.read_text(encoding="utf-8"))["sections"]
-    reflections = verse["rhythm"]["reflections"]
-    assert reflections == [{"clocks": [0, 1], "axis_hours": [0, meter]}]
+    if command == "analyze":
+        report = tmp_path / "report.json"
+        assert _run("analyze", path, "--out", report) == 0
+        (verse,) = json.loads(report.read_text(encoding="utf-8"))["sections"]
+        reflections = verse["rhythm"]["reflections"]
+        assert reflections == [{"clocks": [0, 1], "axis_hours": [0, meter]}]
+        return
     assert _run("render-clocks", path, *_chart_flags("render-clocks", tmp_path)) == 0
     svgs = sorted((tmp_path / "clocks").iterdir())
     assert len(svgs) == 2
