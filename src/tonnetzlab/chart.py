@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import TonnetzlabError
+from .errors import TonnetzlabError, excerpt
 from .harmony import (
     ChordSymbol,
     ChordSyntaxError,
@@ -128,7 +128,8 @@ def _parse_meter(text: str, line_no: int) -> int:
     beats = _beats(text.split("/", 1)[0].strip())
     if beats is None or beats > MAX_METER:
         raise ChartError(
-            f"line {line_no}: bad meter {text!r} (1 to {MAX_METER} beats a measure)"
+            f"line {line_no}: bad meter {excerpt(text)} "
+            f"(1 to {MAX_METER} beats a measure)"
         )
     return beats
 
@@ -140,7 +141,7 @@ def _parse_event(token: str, line_no: int, column: int, meter: int) -> ChordEven
         chord_text, _, beats_text = body.partition(":")
         duration = _beats(beats_text)
         if duration is None:
-            raise ChordParseError(line_no, column, f"bad duration in {token!r}")
+            raise ChordParseError(line_no, column, f"bad duration in {excerpt(token)}")
     else:
         chord_text, duration = body, meter
     try:
@@ -197,7 +198,7 @@ def parse_chart(text: str) -> ChartDocument:
             elif head == "form":
                 form = tuple(value.split())
             else:
-                raise ChartError(f"line {line_no}: unknown header {head!r}")
+                raise ChartError(f"line {line_no}: unknown header {excerpt(head)}")
             continue
 
         if meter is None:
@@ -220,7 +221,7 @@ def parse_chart(text: str) -> ChartDocument:
                     if event.symbol != last_event.symbol:
                         raise BadTie(
                             f"line {line_no}: tie continues "
-                            f"{last_event.symbol.display!r}, got {token!r}"
+                            f"{last_event.symbol.display!r}, got {excerpt(token)}"
                         )
                 events.append(event)
                 last_event = event
@@ -239,7 +240,7 @@ def parse_chart(text: str) -> ChartDocument:
         raise ChartError(f"missing header(s): {', '.join(missing)}")
     for name in form:
         if name not in sections:
-            raise UnknownSectionInForm(f"form names unknown section {name!r}")
+            raise UnknownSectionInForm(f"form names unknown section {excerpt(name)}")
     return ChartDocument(title, key, meter, form, sections)
 
 
@@ -301,7 +302,7 @@ def serialize_chart(doc: ChartDocument) -> str:
     bad = [text for text in (doc.title, *names) if not _writable(text)]
     bad += [name for name in doc.form if name.split() != [name]]
     if bad:
-        raise ChartError(f"{bad[0]!r} cannot be written in a chart")
+        raise ChartError(f"{excerpt(bad[0])} cannot be written in a chart")
     lines = []
     if doc.title:
         lines.append(f"title: {doc.title}")

@@ -32,6 +32,17 @@ BLAS thread). D is lower-triangular with 8 non-zeros a column, but applying it
 as 16 shifted axpys took 2.6-3.1 us a row, against 0.66-0.95 us for the
 stacked matvec with G. A warm start from max(D^-1 f, 0) saved only 6-13% of
 the iterations on synthetic tracks, too little for a second start path.
+
+Two more were bit-identical but gave no gain that shows (same host, two
+runs of nine solves of the 688 frames of a 64 s, 10 dB track). Preallocated
+work buffers, swapped between iterations and compacted in place as frames
+stop, in place of the fresh (n, 73) arrays each iteration makes: minimum
+91-118 ms, median 95-120 ms, against 94-121 and 120-149 ms for this loop,
+inside the host's drift. Splitting the frames between two threads: every
+frame's arithmetic is its own, so the result is the same, but numpy releases
+the GIL only inside each call, and the per-iteration Python work of the two
+halves does not overlap. It took 1.4-2.3 times as long at 100 frames, was
+faster or slower by run at 300, and 6-41% faster at 600 and 688 frames.
 """
 
 from __future__ import annotations

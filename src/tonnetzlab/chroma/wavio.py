@@ -41,7 +41,9 @@ def load_wav(path: str | Path) -> AudioBuffer:
             comp = handle.getcomptype()
             frames = handle.readframes(handle.getnframes())
     except (wave.Error, EOFError) as exc:
-        raise CorruptHeader(f"{path}: {exc}") from exc
+        # wave raises a bare EOFError when the file ends inside a header
+        reason = str(exc) or "the file ends inside a header"
+        raise CorruptHeader(f"{path}: {reason}") from exc
     except RuntimeError as exc:
         # the chunk reader's seek raises a bare RuntimeError when a chunk's
         # declared size runs past the end of the file

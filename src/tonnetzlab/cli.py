@@ -10,7 +10,10 @@ Commands::
 All commands are deterministic: identical inputs and flags produce
 byte-identical outputs. Exit codes: 0 success, 2 input or usage errors. Every
 input error is a ``tonnetzlab.errors.TonnetzlabError`` or an ``OSError``, and
-``main`` reports it as one ``tonnetzlab: error:`` line on stderr.
+``main`` reports it as one ``tonnetzlab: error:`` line on stderr; the parser
+reports a usage error the same way. A value that starts with ``-`` is given
+as ``--section=NAME`` or ``--pre-emphasis=-X``, as argparse reads a separate
+one as an option.
 
 Only ``chord-id`` loads the audio package ``tonnetzlab.chroma``, and numpy with
 it: ``load_wav`` and ``identify`` below import their chroma namesakes when first
@@ -24,7 +27,7 @@ import functools
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from .chart import ChartDocument, ChartError, Section, flatten, parse_chart, progression
 from .errors import TonnetzlabError
@@ -222,9 +225,19 @@ def _cmd_chord_id(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``tonnetzlab: error:`` line and exits 2.
+
+    Subcommand parsers are made by ``add_subparsers`` with the same class.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"tonnetzlab: error: {' '.join(message.splitlines())}\n")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tonnetzlab",
         description="Harmonic analysis: chord charts, Tonnetz diagrams, "
         "rhythm clocks, and audio chord identification.",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .errors import TonnetzlabError
+from .errors import TonnetzlabError, excerpt
 
 PitchClass = int  # 0..11, C = 0
 
@@ -73,12 +73,12 @@ def pitch_class_name(pc: PitchClass) -> str:
 def parse_pitch_class(text: str) -> PitchClass:
     """Parse a note name such as ``F#``, ``Bb`` or ``E♭`` to a pitch class."""
     if not text or text[0].upper() not in _LETTER_PCS:
-        raise UnknownRootLetter(f"unknown note letter in {text!r}")
+        raise UnknownRootLetter(f"unknown note letter in {excerpt(text)}")
     pc = _LETTER_PCS[text[0].upper()]
     rest = text[1:]
     if rest:
         if len(rest) > 1 or rest not in _SHARP_CHARS + _FLAT_CHARS:
-            raise MalformedAccidental(f"bad accidental in {text!r}")
+            raise MalformedAccidental(f"bad accidental in {excerpt(text)}")
         pc += 1 if rest in _SHARP_CHARS else -1
     return pc % 12
 
@@ -182,14 +182,14 @@ def parse_chord_symbol(token: str) -> ChordSymbol:
         raise UnknownRootLetter("empty chord token")
     letter = token[0]
     if letter.upper() not in _LETTER_PCS:
-        raise UnknownRootLetter(f"unknown root letter {letter!r} in {token!r}")
+        raise UnknownRootLetter(f"unknown root letter {letter!r} in {excerpt(token)}")
     quality = Quality.MAJOR if letter.isupper() else Quality.MINOR
     root = _LETTER_PCS[letter.upper()]
     rest = token[1:]
 
     if rest and rest[0] in _SHARP_CHARS + _FLAT_CHARS:
         if len(rest) > 1 and rest[1] in _SHARP_CHARS + _FLAT_CHARS:
-            raise MalformedAccidental(f"double accidental in {token!r}")
+            raise MalformedAccidental(f"double accidental in {excerpt(token)}")
         root += 1 if rest[0] in _SHARP_CHARS else -1
         rest = rest[1:]
     root %= 12
@@ -211,12 +211,12 @@ def parse_chord_symbol(token: str) -> ChordSymbol:
         rest = ""
 
     if rest:
-        raise TrailingGarbage(f"unexpected {rest!r} at end of {token!r}")
+        raise TrailingGarbage(f"unexpected {excerpt(rest)} at end of {excerpt(token)}")
 
     symbol = ChordSymbol(root, quality, embellishment, bass, text=token)
     if bass is not None and bass not in pitch_class_set(symbol):
         raise BassNotInChord(
-            f"bass {pitch_class_name(bass)} is not a tone of {token!r}"
+            f"bass {pitch_class_name(bass)} is not a tone of {excerpt(token)}"
         )
     return symbol
 

@@ -14,6 +14,15 @@ Every pitch class recurs periodically across the plane, so a triad has many
 instances; placements pick the instance nearest a target point, breaking exact
 ties toward the smallest (x, then y) root coordinate so results are
 deterministic.
+
+The search covers a window of 17 rows by 33 columns of root hexagons around
+the target, but visits only the hexagons that hold the triad's root: as 7 is
+its own inverse mod 12, those of row y are the x with
+x = 7 (root - anchor - 4y) (mod 12), every twelfth column, about 47 of the
+561. Each candidate's point is computed inline with the same float
+operations, in the same order, as the mean of its three ``hex_center``
+points, so the chosen instance and its point are exactly those a scan of the
+whole window gives.
 """
 
 from __future__ import annotations
@@ -68,14 +77,6 @@ class TriadPlacement:
         return self.hexes[0]
 
 
-def _centroid(coords: tuple[LatticeCoord, ...]) -> Point:
-    centers = [hex_center(c) for c in coords]
-    return (
-        sum(c[0] for c in centers) / len(centers),
-        sum(c[1] for c in centers) / len(centers),
-    )
-
-
 def place_triad(
     triad: Triad, near: Point | None = None, anchor: PitchClass = 0
 ) -> TriadPlacement:
@@ -84,22 +85,29 @@ def place_triad(
     With ``near`` absent the instance nearest the origin is chosen. Exact
     distance ties break toward the smallest (x, then y) root coordinate.
     """
-    target = near if near is not None else (0.0, 0.0)
-    ty = int(round(target[1] / _SQRT3_2))
-    tx = int(round(target[0] - ty / 2.0))
-    best: tuple[float, int, int, tuple[LatticeCoord, ...], Point] | None = None
+    target_x, target_y = near if near is not None else (0.0, 0.0)
+    ty = int(round(target_y / _SQRT3_2))
+    tx = int(round(target_x - ty / 2.0))
+    # the third hexagon sits at (x + dx3, y + dy3); see triad_hexes
+    dx3, dy3 = (0, 1) if triad.quality is Quality.MAJOR else (1, -1)
+    x_lo, x_hi = tx - 16, tx + 17
+    best: tuple[float, int, int] | None = None
+    best_point: Point = (0.0, 0.0)
     for y in range(ty - 8, ty + 9):
-        for x in range(tx - 16, tx + 17):
-            if node_pitch_class((x, y), anchor) != triad.root:
-                continue
-            hexes = triad_hexes(triad, (x, y))
-            point = _centroid(hexes)
-            d2 = (point[0] - target[0]) ** 2 + (point[1] - target[1]) ** 2
-            key = (round(d2, 9), x, y)
-            if best is None or key < (best[0], best[1], best[2]):
-                best = (key[0], x, y, hexes, point)
+        # 7x + 4y + anchor = root (mod 12), and 7 is its own inverse mod 12
+        x_first = x_lo + (7 * (triad.root - anchor - 4 * y) - x_lo) % 12
+        half, half3 = y / 2.0, (y + dy3) / 2.0
+        row = y * _SQRT3_2
+        # the centroid of the three hexagon centers, summed in hexes order
+        py = ((row + row) + (y + dy3) * _SQRT3_2) / 3
+        dy2 = (py - target_y) ** 2
+        for x in range(x_first, x_hi, 12):
+            px = (((x + half) + ((x + 1) + half)) + ((x + dx3) + half3)) / 3
+            key = (round((px - target_x) ** 2 + dy2, 9), x, y)
+            if best is None or key < best:
+                best, best_point = key, (px, py)
     assert best is not None  # the search window always contains instances
-    return TriadPlacement(triad, best[3], best[4])
+    return TriadPlacement(triad, triad_hexes(triad, best[1:]), best_point)
 
 
 @dataclass(frozen=True)
@@ -170,17 +178,20 @@ def _svg_point(p: Point, scale: float) -> Point:
     return (p[0] * scale, -p[1] * scale)
 
 
+# (cos, sin) of the six corner angles of a pointy-top hexagon
+_HEX_CORNERS = tuple(
+    (math.cos(math.radians(30 + 60 * k)), math.sin(math.radians(30 + 60 * k)))
+    for k in range(6)
+)
+
+
 def _hexagon_path(center: Point, scale: float) -> str:
     cx, cy = _svg_point(center, scale)
     radius = scale / math.sqrt(3.0)
-    pts = []
-    for k in range(6):
-        angle = math.radians(30 + 60 * k)
-        pts.append(
-            f"{_fmt(cx + radius * math.cos(angle))},"
-            f"{_fmt(cy - radius * math.sin(angle))}"
-        )
-    return " ".join(pts)
+    return " ".join(
+        f"{_fmt(cx + radius * cos)},{_fmt(cy - radius * sin)}"
+        for cos, sin in _HEX_CORNERS
+    )
 
 
 def _arrow(start: Point, end: Point, scale: float, double: bool) -> str:

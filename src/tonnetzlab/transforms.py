@@ -15,11 +15,9 @@ though the seventh of E7 is a d-chord tone.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 
 from .harmony import (
-    ALL_TRIADS,
     ChordSymbol,
     Key,
     Quality,
@@ -63,33 +61,15 @@ def apply_nr(op: NeoRiemannianOp, t: Triad) -> Triad:
     return Triad((t.root + shift) % 12, quality)
 
 
-def _build_distance_table() -> dict[tuple[Triad, Triad], int]:
-    adjacency: dict[Triad, list[Triad]] = {t: [] for t in ALL_TRIADS}
-    for a in ALL_TRIADS:
-        for b in ALL_TRIADS:
-            if a != b and a.pitch_classes() & b.pitch_classes():
-                adjacency[a].append(b)
-    table: dict[tuple[Triad, Triad], int] = {}
-    for start in ALL_TRIADS:
-        dist = {start: 0}
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            for nxt in adjacency[node]:
-                if nxt not in dist:
-                    dist[nxt] = dist[node] + 1
-                    queue.append(nxt)
-        for end, d in dist.items():
-            table[(start, end)] = d
-    return table
-
-
-_DISTANCE = _build_distance_table()
-
-
 def tonnetz_distance(a: Triad, b: Triad) -> int:
-    """Shortest-path length between triads in the common-tone graph (0-2)."""
-    return _DISTANCE[(a, b)]
+    """Shortest-path length between triads in the common-tone graph (0-2).
+
+    The graph has diameter 2, so distinct triads are 1 apart when they share
+    a pitch class and 2 apart otherwise.
+    """
+    if a == b:
+        return 0
+    return 1 if a.pitch_classes() & b.pitch_classes() else 2
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -176,6 +178,14 @@ def test_chord_id_silence(tmp_path):
     assert [l["label"] for l in lines] == ["N"]
 
 
+@pytest.mark.parametrize("data", [b"", b"RIF", b"RIFF\x00\x00"], ids=["empty", "3", "6"])
+def test_chord_id_file_ending_in_a_header_names_the_cause(tmp_path, capsys, data):
+    wav = tmp_path / "short.wav"
+    wav.write_bytes(data)
+    assert _run("chord-id", wav) == 2
+    assert _assert_one_line_error(capsys).endswith(": the file ends inside a header\n")
+
+
 def test_chord_id_truncated_wav(tmp_path, capsys):
     wav = tmp_path / "broken.wav"
     wav.write_bytes(b"RIFF\x00\x00\x00\x00WAVEfmt ")
@@ -265,17 +275,61 @@ def test_one_chord_section_is_one_circle_and_no_arrow(tmp_path):
         (f"key: A\nmeter: {'4' * 5000}/4\nform: Verse\n".encode(), "analyze"),
         (f"key: A\nmeter: 4/4\nform: Verse\n[Verse]\nA:{'4' * 5000}\n".encode(),
          "render-clocks"),
+        (f"key: A\nmeter: 4/4\nform: Verse\n[Verse]\nA{'7' * 5000}\n".encode(),
+         "render-tonnetz"),
+        (f"key: {'A' * 5000}\nmeter: 4/4\nform: Verse\n[Verse]\nA\n".encode(),
+         "analyze"),
     ],
     ids=["not-utf-8", "empty-section", "meter-13", "meter-over-4300-digits",
-         "duration-over-4300-digits"],
+         "duration-over-4300-digits", "chord-of-5001-characters",
+         "key-of-5000-characters"],
 )
 def test_unanalysable_chart_is_a_one_line_error(tmp_path, capsys, chart, command):
     path = tmp_path / "input.chart"
     path.write_bytes(chart)
     assert _run(command, path, *_chart_flags(command, tmp_path)) == 2
     err = _assert_one_line_error(capsys)
+    assert len(err.encode()) < 200  # a long token is cut to a prefix and its length
     if b"\xff" in chart:  # the line names the file and the offset of the bad byte
         assert f"{path}: byte 45 is not UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["render-tonnetz", "--section", "-:"], ["chord-id", "--pre-emphasis", "-inf"]],
+    ids=["section", "pre-emphasis"],
+)
+def test_a_flag_value_read_as_a_flag_is_a_one_line_usage_error(
+    tmp_path, capsys, flags
+):
+    command, *rest = flags
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, str(tmp_path / "input"), *rest])
+    assert exit_info.value.code == 2
+    err = _assert_one_line_error(capsys)
+    assert rest[0] in err
+
+
+def test_usage_error_with_a_line_break_stays_one_line(lead_chart_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["analyze", str(lead_chart_path), "extra\nargument"])
+    assert exit_info.value.code == 2
+    _assert_one_line_error(capsys)
+
+
+def test_help_keeps_argparse_output(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["render-tonnetz", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tonnetzlab render-tonnetz")
+
+
+def test_a_section_name_starting_with_a_dash_renders_with_the_equals_form(tmp_path):
+    path = tmp_path / "input.chart"
+    path.write_text("key: A\nmeter: 4/4\nform: -:\n[-:]\nA | E7 | A\n", encoding="utf-8")
+    out = tmp_path / "dash.svg"
+    assert _run("render-tonnetz", path, "--section=-:", "--out", out) == 0
+    ET.parse(out)
 
 
 def _wav_bytes(channels: int = 1) -> bytes:
@@ -418,3 +472,33 @@ def test_chord_id_exits_0_or_2_on_a_mangled_wav(header_edits, length):
         wav = Path(tmp) / "fuzz.wav"
         wav.write_bytes(bytes(data[:length]))
         assert _run("chord-id", wav, "--out", Path(tmp) / "segments.jsonl") in (0, 2)
+
+
+# random bytes alone, after a RIFF id, after a RIFF/WAVE header, and after a
+# whole 44-byte header, where a body of 8 KB or more is long enough to analyse
+_RANDOM_WAV_BYTES = st.one_of(
+    st.binary(max_size=400),
+    st.binary(max_size=2000).map(lambda body: b"RIFF" + body),
+    st.binary(max_size=2000).map(lambda body: _VALID_WAV[:12] + body),
+    st.builds(
+        lambda seed, size: _VALID_WAV[:44] + random.Random(seed).randbytes(size),
+        st.integers(0, 2**32), st.one_of(st.integers(0, 400), st.integers(8192, 20000)),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_RANDOM_WAV_BYTES)
+def test_chord_id_exits_0_or_2_with_one_line_on_random_bytes(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        wav = Path(tmp) / "fuzz.wav"
+        wav.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):  # a traceback would escape main
+            code = _run("chord-id", wav, "--out", Path(tmp) / "segments.jsonl")
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("tonnetzlab: error: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""

@@ -1,20 +1,37 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import itertools
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tonnetzlab.harmony import ALL_TRIADS, Key, Quality, Triad, parse_chord_symbol
+from tonnetzlab.chart import ChartDocument, parse_chart, serialize_chart
+from tonnetzlab.cli import main
+from tonnetzlab.harmony import (
+    ALL_TRIADS,
+    Key,
+    Quality,
+    Triad,
+    parse_chord_symbol,
+    pitch_class_name,
+)
 from tonnetzlab.lattice import (
+    _SQRT3_2,
     EmptyEmbedding,
     PathEmbedding,
+    TriadPlacement,
     embed_path,
     hex_center,
     node_pitch_class,
     place_triad,
     render_tonnetz_svg,
+    triad_hexes,
 )
 from tonnetzlab.transforms import ProgressionAnnotation, annotate_progression
 
@@ -205,3 +222,192 @@ def test_start_and_end_circles_distinct_when_path_ends_elsewhere():
     root = ET.fromstring(svg)
     circles = [el for el in root.iter() if el.get("class") == "chord-circle"]
     assert len(circles) == 2
+
+
+def _centroid(coords):
+    centers = [hex_center(c) for c in coords]
+    return (
+        sum(c[0] for c in centers) / len(centers),
+        sum(c[1] for c in centers) / len(centers),
+    )
+
+
+def place_triad_reference(triad, near=None, anchor=0):
+    """``place_triad`` by a scan of every hexagon of its 17 x 33 window."""
+    target = near if near is not None else (0.0, 0.0)
+    ty = int(round(target[1] / _SQRT3_2))
+    tx = int(round(target[0] - ty / 2.0))
+    best = None
+    for y in range(ty - 8, ty + 9):
+        for x in range(tx - 16, tx + 17):
+            if node_pitch_class((x, y), anchor) != triad.root:
+                continue
+            hexes = triad_hexes(triad, (x, y))
+            point = _centroid(hexes)
+            d2 = (point[0] - target[0]) ** 2 + (point[1] - target[1]) ** 2
+            key = (round(d2, 9), x, y)
+            if best is None or key < (best[0], best[1], best[2]):
+                best = (key[0], x, y, hexes, point)
+    assert best is not None  # the search window always contains instances
+    return TriadPlacement(triad, best[3], best[4])
+
+
+def _midpoint(p, q):
+    return ((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)
+
+
+# targets where several instances lie at exactly the same distance: hexagon
+# centers, triad points and the midpoints between neighbouring ones
+_CENTERS = [hex_center((x, y)) for y in (-1, 0, 1) for x in (-1, 0, 1)]
+_TRIAD_POINTS = [
+    _centroid(triad_hexes(Triad(0, quality), root))
+    for quality in Quality
+    for root in ((0, 0), (1, -1), (-2, 1))
+]
+_TIE_TARGETS = [
+    None,
+    *_CENTERS,
+    *_TRIAD_POINTS,
+    *(_midpoint(hex_center((0, 0)), hex_center(h)) for h in ((1, 0), (0, 1), (1, -1))),
+    *(_midpoint(p, q) for p, q in zip(_TRIAD_POINTS, _TRIAD_POINTS[1:])),
+    hex_center((40, -25)),
+]
+
+
+@pytest.mark.parametrize("anchor", range(12))
+def test_place_triad_matches_the_full_scan_on_tie_targets(anchor):
+    for triad, near in itertools.product(ALL_TRIADS, _TIE_TARGETS):
+        want = place_triad_reference(triad, near, anchor)
+        got = place_triad(triad, near, anchor)
+        assert (got.hexes, got.point) == (want.hexes, want.point), (triad, near)
+
+
+def test_tie_targets_hold_exact_ties():
+    # in over a tenth of the cases several instances are nearest, so the
+    # (x, y) tie-break decides
+    ties = 0
+    for triad, near in itertools.product(ALL_TRIADS, _TIE_TARGETS[1:]):
+        ty = int(round(near[1] / _SQRT3_2))
+        tx = int(round(near[0] - ty / 2.0))
+        d2 = []
+        for y in range(ty - 8, ty + 9):
+            for x in range(tx - 16, tx + 17):
+                if node_pitch_class((x, y), 0) == triad.root:
+                    p = _centroid(triad_hexes(triad, (x, y)))
+                    d2.append(round((p[0] - near[0]) ** 2 + (p[1] - near[1]) ** 2, 9))
+        ties += d2.count(min(d2)) > 1
+    assert ties > len(ALL_TRIADS) * len(_TIE_TARGETS) // 10
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(ALL_TRIADS),
+    st.integers(0, 11),
+    st.tuples(
+        st.floats(-50, 50, allow_nan=False), st.floats(-50, 50, allow_nan=False)
+    ),
+)
+def test_place_triad_matches_the_full_scan_on_random_targets(triad, anchor, near):
+    want = place_triad_reference(triad, near, anchor)
+    got = place_triad(triad, near, anchor)
+    assert (got.hexes, got.point) == (want.hexes, want.point)
+
+
+CHARTS = Path(__file__).resolve().parents[1] / "charts"
+
+# SHA-256 over every section's name, a NUL byte and its render-tonnetz SVG,
+# of each bundled chart transposed into each key; recorded with the scan of
+# the whole window, so they pin all 12 anchors where test_golden pins two
+TRANSPOSED_TONNETZ = {
+    "in_my_life.chart": {
+        "A":
+            "9fe8564a9dd99752226986226dc71b05488bbdfd5a85712e6de176bfa9f07983",
+        "A#":
+            "8c4c55a65498113baf0a433d4dc1d00b24043c0807b14eaf273cb4cd96eafce4",
+        "B":
+            "44e91f169f0d78a1da2f1d4f29acb7b94f6864752582d80eeb1a959b0928d16b",
+        "C":
+            "6ea4421cb7b8abb94e9fb06ef83d02a450373a0b240b8614ef0e0d71d6086451",
+        "C#":
+            "bc6ec0e9f1d0cc167af1a4d6d82a6eaab8da417798824ecb84148faf3326c1b1",
+        "D":
+            "752109f32ce26565d0aa58b4d0d6f66ce4931ee3baa3a725d57175aa854fb834",
+        "D#":
+            "5ba072d6269882f1d85fb69caa3ac49b719fbd1c096c83d8cc071f182e14d962",
+        "E":
+            "473f3da8cf77e10f25b92b915046ce04b77c2cfe78456278eb95d7e603669b95",
+        "F":
+            "7a74d872dfc9211de7c111a94594f32630a72b475b9a4ecd490de6ab4c335fe3",
+        "F#":
+            "43197eb11ced5b2f40eb69dca60d2843823308e0b0015c08587f811b511d5d2f",
+        "G":
+            "f4f7de7b2e38440b37ad96088a9e42012522ed27258f5034a89197b236c54b96",
+        "G#":
+            "eecc31896f9e939302fae46e1acc85afe04e55bc557f9eaa59b6060154afd14e",
+    },
+    "in_my_life_recorded.chart": {
+        "A":
+            "12627a23bcba8ff3b4deee677fe21b3c0b965caa8072d93f0a415d3d059bbe4e",
+        "A#":
+            "bc640a94c2881168f28f2f6f2cd36cf3b9a2630e82b688789f963d53a0773b1e",
+        "B":
+            "0a32cdd8b1312c537d9daf430b064372112db9d7e0ee0801a1736d03a8cb9b29",
+        "C":
+            "1dc0a9c26ce1765724ea7777aee5ffcb507b74437ae7e36b0df2e880d4e19d81",
+        "C#":
+            "779f496ab0e34839a89d010765ecf5c63902b8915b4c3b251ffb96bdceea1d33",
+        "D":
+            "ce9256a064130325cc1a75347019ad35d5cee86dd4d6651a18caa88d10dc6a5c",
+        "D#":
+            "fb73c065f0fc6e6643e65d8c4e9baca6b80149ab9fef717fdb293df611a8223f",
+        "E":
+            "4d45be52d36e0d2e0250cd18a58686c7f4193393611493f31ad55f942195877d",
+        "F":
+            "cb05125c497126a1033b4b6bf3b6de619518fb50d22280a2613e0cf62bd6701b",
+        "F#":
+            "a02af751d2d8dc6425e8f4de5e76a33853bcee9a2dd24fc05a9492a757b66282",
+        "G":
+            "c306e5a6cc18ff59c53c1fa2a25a9ec7f8cb2295f6f97f79ecd78fb91f199290",
+        "G#":
+            "2029064decb3966318a0bf819e189607e53fde348ff3c5a6e362891916a05e02",
+    },
+}
+
+
+def _transposed(doc: ChartDocument, shift: int) -> ChartDocument:
+    def move(symbol):
+        bass = None if symbol.bass is None else (symbol.bass + shift) % 12
+        return dataclasses.replace(
+            symbol, root=(symbol.root + shift) % 12, bass=bass, text=""
+        )
+
+    sections = {
+        name: dataclasses.replace(
+            section,
+            measures=tuple(
+                tuple(dataclasses.replace(e, symbol=move(e.symbol)) for e in measure)
+                for measure in section.measures
+            ),
+        )
+        for name, section in doc.sections.items()
+    }
+    key = Key((doc.key.tonic + shift) % 12)
+    return dataclasses.replace(doc, key=key, sections=sections)
+
+
+@pytest.mark.parametrize("chart_name", sorted(TRANSPOSED_TONNETZ))
+def test_render_tonnetz_in_every_key_matches_recorded_hashes(chart_name, tmp_path):
+    doc = parse_chart((CHARTS / chart_name).read_text(encoding="utf-8"))
+    got = {}
+    for shift in range(12):
+        moved = _transposed(doc, shift)
+        chart = tmp_path / f"{shift}.chart"
+        chart.write_text(serialize_chart(moved), encoding="utf-8")
+        digest = hashlib.sha256()
+        for name in moved.sections:
+            svg = tmp_path / f"{shift}-{name}.svg"
+            argv = ["render-tonnetz", str(chart), "--section", name, "--out", str(svg)]
+            assert main(argv) == 0
+            digest.update(name.encode() + b"\0" + svg.read_bytes())
+        got[pitch_class_name(moved.key.tonic)] = digest.hexdigest()
+    assert got == TRANSPOSED_TONNETZ[chart_name]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 from tonnetzlab.harmony import ALL_TRIADS, Key, Quality, Triad, parse_chord_symbol
 from tonnetzlab.transforms import (
@@ -75,6 +76,35 @@ def test_distance_examples():
 def test_distance_matches_common_tone_oracle_on_all_pairs():
     for a, b in itertools.product(ALL_TRIADS, repeat=2):
         assert tonnetz_distance(a, b) == _oracle_distance(a, b)
+
+
+def _bfs_distance_table() -> dict[tuple[Triad, Triad], int]:
+    """Breadth-first search of the common-tone graph from every triad."""
+    adjacency: dict[Triad, list[Triad]] = {t: [] for t in ALL_TRIADS}
+    for a in ALL_TRIADS:
+        for b in ALL_TRIADS:
+            if a != b and a.pitch_classes() & b.pitch_classes():
+                adjacency[a].append(b)
+    table: dict[tuple[Triad, Triad], int] = {}
+    for start in ALL_TRIADS:
+        dist = {start: 0}
+        queue = deque([start])
+        while queue:
+            node = queue.popleft()
+            for nxt in adjacency[node]:
+                if nxt not in dist:
+                    dist[nxt] = dist[node] + 1
+                    queue.append(nxt)
+        for end, d in dist.items():
+            table[(start, end)] = d
+    return table
+
+
+def test_distance_matches_breadth_first_search_on_all_pairs():
+    table = _bfs_distance_table()
+    assert len(table) == 576
+    for a, b in itertools.product(ALL_TRIADS, repeat=2):
+        assert tonnetz_distance(a, b) == table[(a, b)]
 
 
 def test_graph_diameter_is_two():
