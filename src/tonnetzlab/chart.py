@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import TonnetzlabError, excerpt
+from .errors import TonnetzlabError, clip, excerpt
 from .harmony import (
     ChordSymbol,
     ChordSyntaxError,
@@ -51,7 +51,7 @@ class ChartError(TonnetzlabError):
 class MeterMismatch(ChartError):
     def __init__(self, section: str, measure_index: int, total: int, meter: int):
         super().__init__(
-            f"section [{section}] measure {measure_index + 1}: "
+            f"section [{clip(section)}] measure {measure_index + 1}: "
             f"durations sum to {total}, meter is {meter}"
         )
         self.section = section
@@ -180,7 +180,9 @@ def parse_chart(text: str) -> ChartDocument:
             if not name:
                 raise ChartError(f"line {line_no}: empty section name")
             if name in sections:
-                raise DuplicateSection(f"line {line_no}: section [{name}] redefined")
+                raise DuplicateSection(
+                    f"line {line_no}: section [{clip(name)}] redefined"
+                )
             current = name
             continue
 

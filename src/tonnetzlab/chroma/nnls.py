@@ -21,22 +21,34 @@ last two iterates.
 
 Frames are independent, so the loop updates all frames that have not stopped
 yet as one numpy batch, and a frame leaves the batch at the iteration where its
-own stopping test fires. The arithmetic stays per frame too: h and G a are
-stacks of matrix-vector products, the restart test a stack of dot products. A
-matrix product over the batch would be faster, but its rounding, about 1e-13
-after the solve, depends on the batch. As it is, a frame's activations are bit
-for bit the same alone and in any batch, in any order.
+own stopping test fires. Both matrix products, h = D^T f and G z, are GEMMs of
+one fixed shape: FRAME_BLOCK rows at a time, a short last block padded with
+zero rows (``_block_product``). For G z on 688 rows, the stacked matrix-vector
+products they replace took 0.68-0.74 us a row, the block GEMM 0.24 us.
+A GEMM over the whole batch is as fast, but its shape changes with the batch,
+BLAS picks its kernel path by shape, and a row's result moved by up to 2.7e-15
+as the batch size changed. With a single shape every call takes one path, and
+a row's result depended neither on its position in the block nor on the other
+rows in it. That held in 200 trials at every block size from 8 to 128 that is
+a multiple of 4, with one BLAS thread and with two (OpenBLAS 0.3.31, 2-core
+x86 host). At the other sizes the last (size mod 4) rows went through BLAS's
+edge kernel and could differ; FRAME_BLOCK = 64 is a multiple of the usual row
+unrolls, 4, 8 and 16. So a frame's activations are bit for bit the same alone
+and in any batch, in any order. A second path for small batches, such as one
+matrix-vector product per frame, would break that. The rest of the arithmetic
+is per frame; the restart test is a stack of dot products.
 
 Two alternatives were measured and dropped (2-core x86 host, numpy 2.4, one
 BLAS thread). D is lower-triangular with 8 non-zeros a column, but applying it
 as 16 shifted axpys took 2.6-3.1 us a row, against 0.66-0.95 us for the
-stacked matvec with G. A warm start from max(D^-1 f, 0) saved only 6-13% of
-the iterations on synthetic tracks, too little for a second start path.
+stacked matvec with G that preceded the block GEMM. A warm start from
+max(D^-1 f, 0) saved only 6-13% of the iterations on synthetic tracks, too
+little for a second start path.
 
-Two more were bit-identical but gave no gain that shows (same host, two
-runs of nine solves of the 688 frames of a 64 s, 10 dB track). Preallocated
-work buffers, swapped between iterations and compacted in place as frames
-stop, in place of the fresh (n, 73) arrays each iteration makes: minimum
+Two more were bit-identical but gave no gain that shows (same host, stacked
+matvec, two runs of nine solves of the 688 frames of a 64 s, 10 dB track).
+Preallocated work buffers, swapped between iterations and compacted in place as
+frames stop, in place of the fresh (n, 73) arrays each iteration makes: minimum
 91-118 ms, median 95-120 ms, against 94-121 and 120-149 ms for this loop,
 inside the host's drift. Splitting the frames between two threads: every
 frame's arithmetic is its own, so the result is the same, but numpy releases
@@ -50,9 +62,28 @@ from __future__ import annotations
 import numpy as np
 
 from .dictionary import NoteDictionary
+from .spectral import FRAME_BLOCK
 
 DEFAULT_TOL = 1e-4
 DEFAULT_MAX_ITER = 500
+
+
+def _block_product(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``a @ m`` as one (FRAME_BLOCK, k) x (k, n) GEMM per FRAME_BLOCK rows of ``a``.
+
+    The last block, when short, is padded with zero rows, so every BLAS call
+    has the same shape and a row's result does not depend on the batch.
+    """
+    out = np.empty((len(a), m.shape[1]))
+    whole = len(a) - len(a) % FRAME_BLOCK
+    for start in range(0, whole, FRAME_BLOCK):
+        block = slice(start, start + FRAME_BLOCK)
+        np.matmul(a[block], m, out=out[block])
+    if whole < len(a):
+        padded = np.zeros((FRAME_BLOCK, a.shape[1]))
+        padded[: len(a) - whole] = a[whole:]
+        out[whole:] = (padded @ m)[: len(a) - whole]
+    return out
 
 
 def _rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -73,7 +104,7 @@ def nnls_activations_batch(
     and after every step; it needs a batch of one frame.
     """
     frames = np.ascontiguousarray(frames, dtype=np.float64)
-    h = (dictionary.profiles.T @ frames[:, :, None])[:, :, 0]
+    h = _block_product(frames, dictionary.profiles)
     out = np.zeros_like(h)
     if iterates is not None:
         if len(frames) != 1:
@@ -93,7 +124,7 @@ def nnls_activations_batch(
         if not len(rows):
             break
         z = np.maximum(w, 0.0)  # the projected step from the extrapolated point
-        g = (gram @ z[:, :, None])[:, :, 0]
+        g = _block_product(z, gram)  # gram is exactly symmetric, so row i is G z_i
         g -= h  # the gradient G z - h
         kkt = np.minimum(z, g)  # the natural residual
         np.abs(kkt, out=kkt)

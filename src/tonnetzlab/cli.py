@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
 
 from .chart import ChartDocument, ChartError, Section, flatten, parse_chart, progression
-from .errors import TonnetzlabError
+from .errors import TonnetzlabError, clip
 from .harmony import Key, parse_pitch_class, pitch_class_name
 from .lattice import embed_path, render_tonnetz_svg
 from .rhythm import (
@@ -164,7 +164,7 @@ def _read_chart(path: str) -> ChartDocument:
 def _get_section(doc: ChartDocument, name: str) -> Section:
     if name not in doc.sections:
         raise UnknownSection(
-            f"no section [{name}]; chart defines: {', '.join(doc.sections)}"
+            f"no section [{clip(name)}]; chart defines: {clip(', '.join(doc.sections))}"
         )
     return doc.sections[name]
 

@@ -21,3 +21,14 @@ def excerpt(text: str) -> str:
     if len(text) <= EXCERPT_CHARS:
         return repr(text)
     return f"{text[:EXCERPT_CHARS]!r}... ({len(text)} characters)"
+
+
+def clip(text: str) -> str:
+    """Input text for an error line that shows it bare, such as a section name.
+
+    Text of up to ``EXCERPT_CHARS`` characters comes whole; longer text is cut
+    to its first ``EXCERPT_CHARS`` characters and its length, as in ``excerpt``.
+    """
+    if len(text) <= EXCERPT_CHARS:
+        return text
+    return f"{text[:EXCERPT_CHARS]}... ({len(text)} characters)"

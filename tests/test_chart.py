@@ -63,12 +63,15 @@ def test_meter_mismatch():
     with pytest.raises(MeterMismatch) as info:
         parse_chart(_chart("A:3"))
     assert info.value.measure_index == 0
+    assert str(info.value) == "section [Main] measure 1: durations sum to 3, meter is 4"
 
 
 def test_duplicate_section():
-    text = MINIMAL_HEADER + "[Main]\nA\n[Main]\nA\n"
-    with pytest.raises(DuplicateSection):
+    name = "M" * 40  # the longest name an error line repeats whole
+    text = f"key: A\nmeter: 4/4\nform: {name}\n[{name}]\nA\n[{name}]\nA\n"
+    with pytest.raises(DuplicateSection) as info:
         parse_chart(text)
+    assert str(info.value) == f"line 6: section [{name}] redefined"
 
 
 def test_unknown_section_in_form():

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy.lib.stride_tricks import sliding_window_view
 
+import tonnetzlab
 from tonnetzlab.chroma import (
     AudioBuffer,
     CorruptHeader,
@@ -27,10 +33,19 @@ from tonnetzlab.chroma import (
 from tonnetzlab.chroma.nnls import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    _block_product,
     nnls_activations_batch,
     nnls_residual_history,
 )
-from tonnetzlab.chroma.spectral import LOW_NOTE, SampleRateTooLow, Spectrogram, TooShort
+from tonnetzlab.chroma.spectral import (
+    FRAME_BLOCK,
+    HOP,
+    LOW_NOTE,
+    WINDOW_SIZE,
+    SampleRateTooLow,
+    Spectrogram,
+    TooShort,
+)
 from tonnetzlab.chroma import synth
 from tonnetzlab.harmony import parse_chord_symbol
 
@@ -172,6 +187,22 @@ def test_stft_matches_reference_framing_on_a_noisy_buffer(extra):
     samples = np.concatenate((buffer.samples, np.full(extra, 0.25)))
     spec = stft(AudioBuffer(samples, buffer.sample_rate))
     assert np.array_equal(spec.frames, _reference_stft_frames(samples))
+
+
+# The whole-track product that stft's FRAME_BLOCK loop replaced, kept as the
+# reference the blocks must match bit for bit.
+def _reference_stft_magnitudes(samples: np.ndarray) -> np.ndarray:
+    windows = sliding_window_view(samples, WINDOW_SIZE)[::HOP]
+    return np.abs(np.fft.rfft(windows * np.hanning(WINDOW_SIZE), axis=1))
+
+
+@pytest.mark.parametrize("count", [1, 63, 64, 65, 129, 688])
+def test_stft_matches_the_whole_track_product_at_block_edges(count):
+    length = WINDOW_SIZE + (count - 1) * HOP
+    samples = np.random.default_rng(count).standard_normal(length)
+    spec = stft(AudioBuffer(samples, 22050))
+    assert spec.frame_count == count
+    assert np.array_equal(spec.frames, _reference_stft_magnitudes(samples))
 
 
 # ----------------------------------------------------------- log-freq map
@@ -318,8 +349,16 @@ def test_nnls_scale_equivariant():
         assert np.max(np.abs(scaled - c * base)) <= 1e-5 * max(1.0, c) * base.max()
 
 
+def _block_row(row: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``row @ m`` as the solver computes it: row 0 of a zero-padded block."""
+    block = np.zeros((FRAME_BLOCK, len(row)))
+    block[0] = row
+    return (block @ m)[0]
+
+
 # The FISTA iteration of chroma.nnls.nnls_activations_batch written out for one
-# frame, the reference the batched solver must match bit for bit.
+# frame, the reference the batched solver must match bit for bit. Its two
+# matrix products take the solver's one GEMM shape, the FRAME_BLOCK-row block.
 def nnls_solve_one(
     frame: np.ndarray,
     tol: float = DEFAULT_TOL,
@@ -330,7 +369,7 @@ def nnls_solve_one(
     dictionary = build_note_dictionary()
     profiles, gram = dictionary.profiles, dictionary.gram()
     step_bound = dictionary.step_bound()
-    target = profiles.T @ frame
+    target = _block_row(frame, profiles)
     x = np.zeros(gram.shape[0])
     history = [] if residual_history is None else residual_history
     history.append(float(np.linalg.norm(profiles @ x - frame)))
@@ -343,7 +382,7 @@ def nnls_solve_one(
     t = 1.0
     for _ in range(max_iter):
         z = np.maximum(w, 0.0)
-        g = gram @ z - target
+        g = _block_row(z, gram) - target
         stopped = False
         # the objective would rise: keep x, drop the momentum
         if float((z - x) @ (g + gx)) > 0.0:
@@ -450,9 +489,10 @@ def test_nnls_empty_batch():
 
 
 @st.composite
-def _frame_batches(draw):
-    """0-40 non-negative frames, some rows all zero, and a permutation of them."""
-    count = draw(st.integers(0, 40))
+def _frame_batches(draw, counts=st.integers(0, 40)):
+    """Non-negative frames, 0-40 unless ``counts`` says otherwise, some rows all
+    zero, and a permutation of them."""
+    count = draw(counts)
     frames = draw(hnp.arrays(np.float64, (count, 73), elements=st.floats(0.0, 100.0)))
     frames[draw(hnp.arrays(np.bool_, count))] = 0.0
     return frames, np.array(draw(st.permutations(range(count))), dtype=np.intp)
@@ -481,6 +521,59 @@ def test_nnls_batch_rows_are_independent(batch, tol, max_iter):
     _assert_rows_independent(*batch, tol, max_iter)
 
 
+@settings(max_examples=10, deadline=None)
+@given(
+    # batches that fill a block, overrun it by one row, or stop one row short
+    batch=_frame_batches(st.sampled_from([63, 64, 65, 128, 129])),
+    tol=st.sampled_from([1e-2, 1e-3, 1e-6]),
+    max_iter=st.integers(1, 30),
+)
+def test_nnls_batch_rows_are_independent_across_block_boundaries(batch, tol, max_iter):
+    _assert_rows_independent(*batch, tol, max_iter)
+
+
+def test_block_product_rows_do_not_depend_on_position_or_neighbours():
+    """The premise of the solver's bit-identity: in the fixed (FRAME_BLOCK, 73)
+    GEMM a row's result depends on that row alone."""
+    dictionary = build_note_dictionary()
+    rng = np.random.default_rng(9)
+    rows = np.abs(rng.standard_normal((3, 73))) * [[1.0], [1e-3], [1e3]]
+    for m in (dictionary.profiles, dictionary.gram()):
+        for row in rows:
+            alone = _block_product(row[None, :], m)[0]
+            zeros, noise = np.zeros((FRAME_BLOCK, 73)), rng.random((FRAME_BLOCK, 73))
+            for neighbours in (zeros, noise):
+                for position in range(FRAME_BLOCK):
+                    block = neighbours.copy()
+                    block[position] = row
+                    assert np.array_equal(_block_product(block, m)[position], alone)
+
+
+# Runs in a fresh interpreter: BLAS fixes its thread count when it loads.
+_THREADED_CHECK = """
+import numpy as np
+import test_chroma as t
+
+t.test_block_product_rows_do_not_depend_on_position_or_neighbours()
+frames = t.log_freq_map(t.stft(t._acceptance_buffer(noise_snr_db=10.0)))
+order = np.random.default_rng(5).permutation(len(frames))
+t._assert_rows_independent(frames, order, t.DEFAULT_TOL, t.DEFAULT_MAX_ITER)
+"""
+
+
+def test_nnls_batch_rows_are_independent_under_two_blas_threads():
+    """The benchmark pins one BLAS thread; this repeats the premise check and
+    the 171 frames of the acceptance sequence (three blocks) under two."""
+    path = [str(Path(__file__).parent), str(Path(tonnetzlab.__file__).parents[1])]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
+    env["PYTHONPATH"] = os.pathsep.join(path)
+    child = subprocess.run(
+        [sys.executable, "-c", _THREADED_CHECK],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+
+
 def test_nnls_batch_rows_are_independent_on_a_track():
     """The fixed case: all 688 frames of a 64 s track at 10 dB SNR."""
     frames = log_freq_map(stft(_acceptance_buffer(noise_snr_db=10.0, repeats=4)))
@@ -499,9 +592,9 @@ def test_nnls_batch_stops_within_its_kkt_bound(batch, tol, max_iter):
     dictionary = build_note_dictionary()
     solved = nnls_activations_batch(frames, dictionary, tol, max_iter)
     assert (solved >= 0.0).all()
-    # h and the gradient as the solver computes them, frame by frame
-    targets = (dictionary.profiles.T @ frames[:, :, None])[:, :, 0]
-    gradient = (dictionary.gram() @ solved[:, :, None])[:, :, 0] - targets
+    # h and the gradient as the solver computes them, in FRAME_BLOCK-row blocks
+    targets = _block_product(frames, dictionary.profiles)
+    gradient = _block_product(solved, dictionary.gram()) - targets
     natural = np.abs(np.minimum(solved, gradient))
     for i in range(len(frames)):
         if 0 < _iterations(frames[i], tol, max_iter) < max_iter:

@@ -115,8 +115,12 @@ def test_render_tonnetz_coda_has_one_shared_circle(lead_chart_path, tmp_path):
 
 
 def test_render_tonnetz_unknown_section(lead_chart_path, capsys):
-    assert _run("render-tonnetz", lead_chart_path, "--section", "Nope") == 2
-    assert "Nope" in capsys.readouterr().err
+    for name in ("Nope", "N" * 40):  # up to 40 characters, a name is repeated whole
+        assert _run("render-tonnetz", lead_chart_path, "--section", name) == 2
+        assert capsys.readouterr().err == (
+            f"tonnetzlab: error: no section [{name}]; "
+            "chart defines: Verse, Verse2, Bridge, Interlude, Coda\n"
+        )
 
 
 def test_render_clocks_counts(lead_chart_path, recorded_chart_path, tmp_path):
@@ -219,11 +223,14 @@ def test_render_outputs_byte_identical_across_runs(lead_chart_path, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def _chart_flags(command: str, tmp_path: Path) -> list:
+_LONG_NAME = "S" * 5000  # a section name far past the 40 characters an error repeats
+
+
+def _chart_flags(command: str, tmp_path: Path, section: str = "Verse") -> list:
     return {
         "analyze": [],
-        "render-tonnetz": ["--section", "Verse"],
-        "render-clocks": ["--section", "Verse", "--out-dir", tmp_path / "clocks"],
+        "render-tonnetz": ["--section", section],
+        "render-clocks": ["--section", section, "--out-dir", tmp_path / "clocks"],
     }[command]
 
 
@@ -267,27 +274,36 @@ def test_one_chord_section_is_one_circle_and_no_arrow(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "chart, command",
+    "chart, command, section",
     [
-        (b"key: A\nmeter: 4/4\nform: Verse\n[Verse]\nA | E7 \xff\n", "analyze"),
-        (b"key: A\nmeter: 4/4\nform: Verse\n[Verse]\n", "render-tonnetz"),
-        (b"key: A\nmeter: 13/4\nform: Verse\n[Verse]\nA\n", "analyze"),
-        (f"key: A\nmeter: {'4' * 5000}/4\nform: Verse\n".encode(), "analyze"),
+        (b"key: A\nmeter: 4/4\nform: Verse\n[Verse]\nA | E7 \xff\n", "analyze", "Verse"),
+        (b"key: A\nmeter: 4/4\nform: Verse\n[Verse]\n", "render-tonnetz", "Verse"),
+        (b"key: A\nmeter: 13/4\nform: Verse\n[Verse]\nA\n", "analyze", "Verse"),
+        (f"key: A\nmeter: {'4' * 5000}/4\nform: Verse\n".encode(), "analyze", "Verse"),
         (f"key: A\nmeter: 4/4\nform: Verse\n[Verse]\nA:{'4' * 5000}\n".encode(),
-         "render-clocks"),
+         "render-clocks", "Verse"),
         (f"key: A\nmeter: 4/4\nform: Verse\n[Verse]\nA{'7' * 5000}\n".encode(),
-         "render-tonnetz"),
+         "render-tonnetz", "Verse"),
         (f"key: {'A' * 5000}\nmeter: 4/4\nform: Verse\n[Verse]\nA\n".encode(),
-         "analyze"),
+         "analyze", "Verse"),
+        (b"key: A\nmeter: 4/4\nform: Verse\n[Verse]\nA\n", "render-tonnetz", _LONG_NAME),
+        (f"key: A\nmeter: 4/4\nform: Verse\n[{_LONG_NAME}]\nA\n[{_LONG_NAME}]\nD\n"
+         .encode(), "analyze", "Verse"),
+        (f"key: A\nmeter: 4/4\nform: Verse\n[{_LONG_NAME}]\nA:2\n".encode(),
+         "analyze", "Verse"),
     ],
     ids=["not-utf-8", "empty-section", "meter-13", "meter-over-4300-digits",
          "duration-over-4300-digits", "chord-of-5001-characters",
-         "key-of-5000-characters"],
+         "key-of-5000-characters", "section-flag-of-5000-characters",
+         "section-of-5000-characters-redefined",
+         "section-of-5000-characters-short-measure"],
 )
-def test_unanalysable_chart_is_a_one_line_error(tmp_path, capsys, chart, command):
+def test_unanalysable_chart_is_a_one_line_error(
+    tmp_path, capsys, chart, command, section
+):
     path = tmp_path / "input.chart"
     path.write_bytes(chart)
-    assert _run(command, path, *_chart_flags(command, tmp_path)) == 2
+    assert _run(command, path, *_chart_flags(command, tmp_path, section)) == 2
     err = _assert_one_line_error(capsys)
     assert len(err.encode()) < 200  # a long token is cut to a prefix and its length
     if b"\xff" in chart:  # the line names the file and the offset of the bad byte
