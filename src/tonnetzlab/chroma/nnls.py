@@ -55,6 +55,16 @@ frame's arithmetic is its own, so the result is the same, but numpy releases
 the GIL only inside each call, and the per-iteration Python work of the two
 halves does not overlap. It took 1.4-2.3 times as long at 100 frames, was
 faster or slower by run at 300, and 6-41% faster at 600 and 688 frames.
+
+With the block GEMM in place, a batch kept in whole FRAME_BLOCKs was measured
+too: stopped frames stay in their rows and are masked out, G z is one stacked
+matmul over the (blocks, FRAME_BLOCK, notes) view, and the arrays are
+compacted only when a whole block has stopped. It is bit-identical, but the
+frames that have stopped keep costing a full iteration each, which outweighs
+the copies it saves: minimum 64.3-64.8 ms, median 74.8-76.1 ms, against
+50.6-51.2 and 56.9-61.0 ms for this loop (two runs of nine solves of the 688
+frames of a 64 s, 10 dB track; 2-core x86 host, numpy 2.4, OpenBLAS 0.3.31,
+one BLAS thread).
 """
 
 from __future__ import annotations

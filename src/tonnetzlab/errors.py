@@ -26,9 +26,14 @@ def excerpt(text: str) -> str:
 def clip(text: str) -> str:
     """Input text for an error line that shows it bare, such as a section name.
 
-    Text of up to ``EXCERPT_CHARS`` characters comes whole; longer text is cut
-    to its first ``EXCERPT_CHARS`` characters and its length, as in ``excerpt``.
+    Printable text of up to ``EXCERPT_CHARS`` characters comes whole; longer
+    text is cut to its first ``EXCERPT_CHARS`` characters and its length, as
+    in ``excerpt``. Text holding a line break or another character that is not
+    printable comes as ``excerpt`` gives it, quoted with the character escaped,
+    so that the error stays one line and writes no control character.
     """
+    if not text.isprintable():
+        return excerpt(text)
     if len(text) <= EXCERPT_CHARS:
         return text
     return f"{text[:EXCERPT_CHARS]}... ({len(text)} characters)"

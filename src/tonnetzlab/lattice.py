@@ -22,7 +22,17 @@ x = 7 (root - anchor - 4y) (mod 12), every twelfth column, about 47 of the
 561. Each candidate's point is computed inline with the same float
 operations, in the same order, as the mean of its three ``hex_center``
 points, so the chosen instance and its point are exactly those a scan of the
-whole window gives.
+whole window gives. The key that decides is (squared distance rounded to 9
+decimals, x, y), but only the candidates within 1e-9 of the smallest squared
+distance are rounded: rounding is monotone, so the rounded minimum is the
+rounding of the minimum, and two distances that round to the same 9 decimals
+lie less than 1e-9 apart.
+
+The SVG writes every number with two decimals. A honeycomb corner's y depends
+only on its row and its x only on the hexagon center's x, which repeats every
+other row, so each row's corner and label y and each distinct center's corner
+and label x are formatted once, not once per hexagon. The viewBox comes from
+the two extreme centers, as fl(c - r) and fl(c + r) grow with c.
 """
 
 from __future__ import annotations
@@ -40,6 +50,8 @@ Point = tuple[float, float]
 _SQRT3_2 = math.sqrt(3.0) / 2.0
 HEX_SIZE = 60.0  # hexagon center spacing in SVG user units
 MARGIN = 1  # extra hexagon rings around the path's bounding box
+# squared distances that round to the same 9 decimals differ by less than this
+_TIE_SPAN = 1e-9
 
 
 class EmptyEmbedding(TonnetzlabError):
@@ -91,8 +103,8 @@ def place_triad(
     # the third hexagon sits at (x + dx3, y + dy3); see triad_hexes
     dx3, dy3 = (0, 1) if triad.quality is Quality.MAJOR else (1, -1)
     x_lo, x_hi = tx - 16, tx + 17
-    best: tuple[float, int, int] | None = None
-    best_point: Point = (0.0, 0.0)
+    nearest = math.inf
+    near_candidates: list[tuple[float, int, int, float, float]] = []
     for y in range(ty - 8, ty + 9):
         # 7x + 4y + anchor = root (mod 12), and 7 is its own inverse mod 12
         x_first = x_lo + (7 * (triad.root - anchor - 4 * y) - x_lo) % 12
@@ -103,11 +115,19 @@ def place_triad(
         dy2 = (py - target_y) ** 2
         for x in range(x_first, x_hi, 12):
             px = (((x + half) + ((x + 1) + half)) + ((x + dx3) + half3)) / 3
-            key = (round((px - target_x) ** 2 + dy2, 9), x, y)
-            if best is None or key < best:
-                best, best_point = key, (px, py)
-    assert best is not None  # the search window always contains instances
-    return TriadPlacement(triad, triad_hexes(triad, best[1:]), best_point)
+            d2 = (px - target_x) ** 2 + dy2
+            if d2 <= nearest + _TIE_SPAN:
+                near_candidates.append((d2, x, y, px, py))
+                if d2 < nearest:
+                    nearest = d2
+    # the key (round(d2, 9), x, y) decides; only candidates this close to the
+    # smallest distance can round to its rounded value
+    _, x, y, px, py = min(
+        (round(d2, 9), x, y, px, py)
+        for d2, x, y, px, py in near_candidates
+        if d2 <= nearest + _TIE_SPAN
+    )
+    return TriadPlacement(triad, triad_hexes(triad, (x, y)), (px, py))
 
 
 @dataclass(frozen=True)
@@ -166,11 +186,13 @@ _STYLE = (
 
 
 def _fmt(value: float) -> str:
-    """An SVG number: two decimals, never ``-0.00``."""
-    rounded = round(value, 2)
-    if rounded == 0:
-        rounded = 0.0
-    return f"{rounded:.2f}"
+    """An SVG number: two decimals, never ``-0.00``.
+
+    ``:.2f`` writes the correctly rounded decimal of the exact binary value,
+    as ``round(value, 2)`` does, so this is the text of the rounded value.
+    """
+    text = f"{value:.2f}"
+    return "0.00" if text == "-0.00" else text
 
 
 def _svg_point(p: Point, scale: float) -> Point:
@@ -183,15 +205,6 @@ _HEX_CORNERS = tuple(
     (math.cos(math.radians(30 + 60 * k)), math.sin(math.radians(30 + 60 * k)))
     for k in range(6)
 )
-
-
-def _hexagon_path(center: Point, scale: float) -> str:
-    cx, cy = _svg_point(center, scale)
-    radius = scale / math.sqrt(3.0)
-    return " ".join(
-        f"{_fmt(cx + radius * cos)},{_fmt(cy - radius * sin)}"
-        for cos, sin in _HEX_CORNERS
-    )
 
 
 def _arrow(start: Point, end: Point, scale: float, double: bool) -> str:
@@ -234,27 +247,33 @@ def render_tonnetz_svg(embedding: PathEmbedding, anchor: PitchClass = 0) -> str:
     scale = HEX_SIZE
 
     used = {h for p in embedding.placements for h in p.hexes}
-    xs = [h[0] for h in used]
-    ys = [h[1] for h in used]
-    grid = [
-        (x, y)
-        for y in range(min(ys) - MARGIN, max(ys) + MARGIN + 1)
-        for x in range(min(xs) - MARGIN, max(xs) + MARGIN + 1)
-    ]
+    x_lo = min(h[0] for h in used) - MARGIN
+    x_hi = max(h[0] for h in used) + MARGIN
+    y_lo = min(h[1] for h in used) - MARGIN
+    y_hi = max(h[1] for h in used) + MARGIN
 
-    hex_parts: list[str] = []
+    # A corner's y depends only on the row, and its x only on the center's x,
+    # which recurs every other row: each coordinate is formatted once.
     radius = scale / math.sqrt(3.0)
-    for coord in grid:
-        center = hex_center(coord)
-        hex_parts.append(
-            f'<polygon class="pc-hex" points="{_hexagon_path(center, scale)}"/>'
-        )
-        cx, cy = _svg_point(center, scale)
-        name = pitch_class_name(node_pitch_class(coord, anchor))
-        hex_parts.append(
-            f'<text class="pc-label" x="{_fmt(cx)}" '
-            f'y="{_fmt(cy + 0.11 * scale)}">{name}</text>'
-        )
+    columns: dict[float, tuple[str, list[str]]] = {}
+    hex_parts: list[str] = []
+    for y in range(y_lo, y_hi + 1):
+        cy = _svg_point(hex_center((x_lo, y)), scale)[1]
+        corner_ys = [_fmt(cy - radius * sin) for _, sin in _HEX_CORNERS]
+        label_y = _fmt(cy + 0.11 * scale)
+        for x in range(x_lo, x_hi + 1):
+            center_x = hex_center((x, y))[0]
+            if center_x not in columns:
+                cx = _svg_point((center_x, 0.0), scale)[0]
+                corner_xs = [_fmt(cx + radius * cos) for cos, _ in _HEX_CORNERS]
+                columns[center_x] = (_fmt(cx), corner_xs)
+            label_x, corner_xs = columns[center_x]
+            points = " ".join(f"{a},{b}" for a, b in zip(corner_xs, corner_ys))
+            name = pitch_class_name(node_pitch_class((x, y), anchor))
+            hex_parts.append(
+                f'<polygon class="pc-hex" points="{points}"/>'
+                f'<text class="pc-label" x="{label_x}" y="{label_y}">{name}</text>'
+            )
 
     arrow_parts = [
         _arrow(a.point, b.point, scale, arity == 2)
@@ -274,15 +293,13 @@ def render_tonnetz_svg(embedding: PathEmbedding, anchor: PitchClass = 0) -> str:
             f'r="{_fmt(0.3 * scale)}"/>'
         )
 
-    all_x: list[float] = []
-    all_y: list[float] = []
-    for coord in grid:
-        cx, cy = _svg_point(hex_center(coord), scale)
-        all_x.extend((cx - radius, cx + radius))
-        all_y.extend((cy - radius, cy + radius))
+    # fl(c - radius) and fl(c + radius) grow with c, so the extreme centers
+    # give the honeycomb's extent
+    min_cx, max_cy = _svg_point(hex_center((x_lo, y_lo)), scale)
+    max_cx, min_cy = _svg_point(hex_center((x_hi, y_hi)), scale)
     pad = 0.2 * scale
-    min_x, max_x = min(all_x) - pad, max(all_x) + pad
-    min_y, max_y = min(all_y) - pad, max(all_y) + pad
+    min_x, max_x = min_cx - radius - pad, max_cx + radius + pad
+    min_y, max_y = min_cy - radius - pad, max_cy + radius + pad
 
     style = _STYLE % {"label": int(0.3 * scale)}
     body = "".join(hex_parts) + "".join(arrow_parts) + "".join(circle_parts)

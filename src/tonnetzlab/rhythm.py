@@ -5,15 +5,20 @@ measures (8 hours in 4/4, 6 in 3/4), hour 0 at the top, running clockwise.
 Windows tile a section from its first beat. A chord sustained across a window
 boundary produces no onset in the later window, so a window can be a pure
 continuation with an empty clock.
+
+A clock's SVG up to its onsets, and the dot and label position of an onset at
+each hour, depend on the cycle alone, so each cycle's face is formatted once
+and kept; the chart's meter (at most ``MAX_METER`` beats) bounds the cycles.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
-from .chart import TimedChord
+from .chart import MAX_METER, TimedChord
 from .lattice import _fmt
 
 WINDOW_MEASURES = 2  # measures per clock window
@@ -184,35 +189,41 @@ def _hour_xy(hour: float, cycle: int, radius: float, cx: float, cy: float):
     return cx + radius * math.sin(theta), cy - radius * math.cos(theta)
 
 
-def render_clock_svg(clock: RhythmClock) -> str:
-    """Render one rhythm clock as a standalone SVG 1.1 document."""
+@functools.lru_cache(maxsize=WINDOW_MEASURES * MAX_METER)
+def _clock_face(cycle: int) -> tuple[str, tuple[str, ...]]:
+    """The SVG of a ``cycle``-hour clock up to its onsets, and each hour's onset
+    markup up to its label."""
     size, cx, cy, rim = 220.0, 110.0, 110.0, 78.0
     parts = [
-        f'<circle class="clock-rim" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(rim)}"/>'
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'viewBox="0 0 {_fmt(size)} {_fmt(size)}">'
+        f"<style>{_CLOCK_STYLE}</style>",
+        f'<circle class="clock-rim" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(rim)}"/>',
     ]
-    for hour in range(clock.cycle):
-        x1, y1 = _hour_xy(hour, clock.cycle, rim - 7, cx, cy)
-        x2, y2 = _hour_xy(hour, clock.cycle, rim, cx, cy)
+    onsets = []
+    for hour in range(cycle):
+        x1, y1 = _hour_xy(hour, cycle, rim - 7, cx, cy)
+        x2, y2 = _hour_xy(hour, cycle, rim, cx, cy)
         parts.append(
             f'<line class="clock-tick" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
             f'x2="{_fmt(x2)}" y2="{_fmt(y2)}"/>'
         )
-    for hour, label in clock.onsets:
-        dx, dy = _hour_xy(hour, clock.cycle, rim, cx, cy)
-        parts.append(
-            f'<circle class="clock-onset" cx="{_fmt(dx)}" cy="{_fmt(dy)}" r="5.00"/>'
-        )
-        lx, ly = _hour_xy(hour, clock.cycle, rim + 22, cx, cy)
-        parts.append(
+        lx, ly = _hour_xy(hour, cycle, rim + 22, cx, cy)
+        onsets.append(
+            f'<circle class="clock-onset" cx="{_fmt(x2)}" cy="{_fmt(y2)}" r="5.00"/>'
             f'<text class="clock-label" x="{_fmt(lx)}" y="{_fmt(ly + 5)}">'
-            f"{_escape(label)}</text>"
         )
-    return (
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="0 0 {_fmt(size)} {_fmt(size)}">'
-        f"<style>{_CLOCK_STYLE}</style>" + "".join(parts) + "</svg>\n"
+    return "".join(parts), tuple(onsets)
+
+
+def render_clock_svg(clock: RhythmClock) -> str:
+    """Render one rhythm clock as a standalone SVG 1.1 document."""
+    face, onsets = _clock_face(clock.cycle)
+    labels = "".join(
+        f"{onsets[hour]}{_escape(label)}</text>" for hour, label in clock.onsets
     )
+    return f"{face}{labels}</svg>\n"
 
 
 def _escape(text: str) -> str:

@@ -326,6 +326,19 @@ def test_a_flag_value_read_as_a_flag_is_a_one_line_usage_error(
     assert rest[0] in err
 
 
+@pytest.mark.parametrize("command", ["render-tonnetz", "render-clocks"])
+@pytest.mark.parametrize(
+    "section", ["Ver\nse", "A\rB", "\x1b[31mVerse"], ids=["newline", "return", "escape"]
+)
+def test_a_section_flag_with_a_control_character_is_one_escaped_line(
+    lead_chart_path, tmp_path, capsys, command, section
+):
+    assert _run(command, lead_chart_path, *_chart_flags(command, tmp_path, section)) == 2
+    err = _assert_one_line_error(capsys)
+    assert not any(c in err for c in "\r\x1b")
+    assert f"no section [{section!r}]; chart defines: Verse, " in err
+
+
 def test_usage_error_with_a_line_break_stays_one_line(lead_chart_path, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["analyze", str(lead_chart_path), "extra\nargument"])

@@ -6,7 +6,7 @@ import pkgutil
 import pytest
 
 import tonnetzlab
-from tonnetzlab.errors import TonnetzlabError
+from tonnetzlab.errors import EXCERPT_CHARS, TonnetzlabError, clip
 
 
 def _exception_classes() -> list[type]:
@@ -40,3 +40,17 @@ def test_the_walk_finds_the_domain_errors():
 def test_domain_errors_share_one_base(error):
     assert issubclass(error, TonnetzlabError)
     assert issubclass(error, ValueError)
+
+
+def test_clip_shows_short_printable_text_bare():
+    for text in ("Verse", "Bridge 2", "♭VII", "N" * EXCERPT_CHARS):
+        assert clip(text) == text
+    assert clip("S" * 50) == f"{'S' * EXCERPT_CHARS}... (50 characters)"
+
+
+def test_clip_escapes_line_breaks_and_control_characters():
+    assert clip("Ver\nse") == "'Ver\\nse'"
+    assert clip("A\rB") == "'A\\rB'"
+    assert clip("\x1b[31m") == "'\\x1b[31m'"
+    cut = "\t" + "S" * (EXCERPT_CHARS - 1)
+    assert clip(cut + "S" * 11) == f"{cut!r}... (51 characters)"

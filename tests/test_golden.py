@@ -4,8 +4,10 @@ The hashes pin the bytes the command line writes, so a refactor that should
 not change behaviour is checked against fixed values rather than against a
 second run of the same tree. Inputs: ``analyze`` on both charts,
 ``render-tonnetz`` and every ``render-clocks`` file for every section of both
-charts, and ``chord-id`` (JSONL, plus the PPM spectrogram and a pre-emphasised
-run) on the synthesized 8-chord acceptance sequence. The audio hashes rest on
+charts, the same on two small charts in 3/4 and 6/8 (the bundled charts are
+both 4/4, so these pin the clock faces of 6 and 12 hours), and ``chord-id``
+(JSONL, plus the PPM spectrogram and a pre-emphasised run) on the synthesized
+8-chord acceptance sequence. The audio hashes rest on
 the rounding of numpy's FFT and matrix products; they were recorded with numpy
 2.4 on x86-64.
 """
@@ -24,6 +26,19 @@ from tonnetzlab.harmony import parse_chord_symbol
 
 CHARTS = Path(__file__).resolve().parents[1] / "charts"
 ACCEPTANCE_TOKENS = ["A", "E7", "A", "f#", "A7", "D", "d", "A"]
+
+ODD_METER_CHARTS = {
+    "waltz_3_4.chart": (
+        "title: Waltz\nkey: D\nmeter: 3/4\nform: Verse Verse Turn\n"
+        "[Verse]\nD | A7 | D:2 G:1 | A | b | G:1 A:2 | D | ~D\n"
+        "[Turn]\nG | ~G:2 e:1 | D/F#:1 A:1 D:1 | A\n"
+    ),
+    "jig_6_8.chart": (
+        "title: Jig\nkey: e\nmeter: 6/8\nform: Reel Reel Lift\n"
+        "[Reel]\ne | D | e:3 C:3 | B7\ne:4 a:2 | G | C:3 B:3 | e\n"
+        "[Lift]\nG:2 D:2 e:2 | ~e | C | B\n"
+    ),
+}
 
 GOLDEN = {
     "in_my_life.chart": {
@@ -108,6 +123,46 @@ GOLDEN = {
         "clocks/Coda/clock-3.svg":
             "cd2ef931df73a9ab19237a72be1bb5efe1316c547bb0502b37f03dfd9270a3e9",
     },
+    "waltz_3_4.chart": {
+        "analyze":
+            "ab74803ba90ba1962c1a1c8fcd5dcb400f49fc30a89eebd47d7ca5c74e1615c6",
+        "tonnetz/Verse":
+            "f785b70b27b4ae60c2835e10b45725526f565a0e6e8d507076936d521ccacd4d",
+        "clocks/Verse/clock-1.svg":
+            "099611613c2b953a82dcf872706ffd0fd3188110e1062b1d22eb8478256dd07d",
+        "clocks/Verse/clock-2.svg":
+            "88773685013421062d941b6953f7e4fd99d9fbb6251058cdc649eecb92145ad0",
+        "clocks/Verse/clock-3.svg":
+            "058931e659bdf6ccb34c40eb7802aa61f0a4e2980774465bab4548eb1b8d9561",
+        "clocks/Verse/clock-4.svg":
+            "185e72c5810494d0d8161f1dcc37903bc5f9e7f4b6f5bb657b94a18c9a2955b6",
+        "tonnetz/Turn":
+            "d3fee4d4b7f2f0086d5436b669b83fb1c5467b4f62809fabd9572ba2a8e4d95a",
+        "clocks/Turn/clock-1.svg":
+            "79b8b01ca0668527544db2f479088cdaf8205c8ec7c1535b6fb50e0c920c3731",
+        "clocks/Turn/clock-2.svg":
+            "475d60472900b0ebf2f9334d3bd8d7575bd00e7f605f54a88683ba4b27faf0ec",
+    },
+    "jig_6_8.chart": {
+        "analyze":
+            "114c408016356a6f17b9995f38e288da79106ca450d4c667052735729adcd0aa",
+        "tonnetz/Reel":
+            "54882c61f67623c6dbe3a3b3013318cbce78d272460a0c251be238537b32184a",
+        "clocks/Reel/clock-1.svg":
+            "6b0fc57c79cdce698d894a2079b66f01c33a1fe8949f535976f92913a9ef99c3",
+        "clocks/Reel/clock-2.svg":
+            "95e2c2b7d96512c25407d49df76a9006ec5b59322b4d647f6e56f429d0c9f9fa",
+        "clocks/Reel/clock-3.svg":
+            "2db589a7310ade3735062a6b2b6e9067e2e29e50ffa63658392f42be17cde3bf",
+        "clocks/Reel/clock-4.svg":
+            "4b6762ebbbc386bbbdce9305765a3ad8bc4b9b3da533793b4eeaafc1625f6b91",
+        "tonnetz/Lift":
+            "0ef86ccd8099faaf1faf741348153e9a958f2d2313572f0d77b09d56227595b8",
+        "clocks/Lift/clock-1.svg":
+            "e193a77ce06f86acf650164a1eb28b0aefc3627b270a6ba7cee686ac4edc4202",
+        "clocks/Lift/clock-2.svg":
+            "f3dd7849d0be15d7e515fb7fa3968fad1ce07f42205a57a73c3e83e5dbe835e1",
+    },
     "acceptance.wav": {
         "jsonl":
             "af54eadd71b9356217675179b0f87e691ecdc5b36e406f16ece46b0ab20d8752",
@@ -145,6 +200,13 @@ def _chart_outputs(chart, tmp_path) -> dict[str, str]:
 @pytest.mark.parametrize("chart_name", ["in_my_life.chart", "in_my_life_recorded.chart"])
 def test_chart_outputs_match_golden_hashes(chart_name, tmp_path):
     assert _chart_outputs(CHARTS / chart_name, tmp_path) == GOLDEN[chart_name]
+
+
+@pytest.mark.parametrize("chart_name", sorted(ODD_METER_CHARTS))
+def test_odd_meter_chart_outputs_match_golden_hashes(chart_name, tmp_path):
+    chart = tmp_path / chart_name
+    chart.write_text(ODD_METER_CHARTS[chart_name], encoding="utf-8")
+    assert _chart_outputs(chart, tmp_path) == GOLDEN[chart_name]
 
 
 def test_chord_id_outputs_match_golden_hashes(tmp_path):

@@ -8,8 +8,9 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from svg_reference import fmt_reference, render_tonnetz_svg_reference
 
 from tonnetzlab.chart import ChartDocument, parse_chart, serialize_chart
 from tonnetzlab.cli import main
@@ -26,6 +27,7 @@ from tonnetzlab.lattice import (
     EmptyEmbedding,
     PathEmbedding,
     TriadPlacement,
+    _fmt,
     embed_path,
     hex_center,
     node_pitch_class,
@@ -210,6 +212,72 @@ def test_render_is_well_formed_and_deterministic(lead_chart):
     ET.fromstring(first)  # raises on malformed XML
 
 
+def _progression_annotation(triads) -> ProgressionAnnotation:
+    return ProgressionAnnotation(
+        tuple(parse_chord_symbol(t.name) for t in triads), (), (), ()
+    )
+
+
+def _translated(embedding: PathEmbedding, shift: tuple[int, int]) -> PathEmbedding:
+    """The same path drawn ``shift`` hexagons away (the labels change with it)."""
+    dx, dy = hex_center(shift)
+    return PathEmbedding(
+        tuple(
+            TriadPlacement(
+                p.triad,
+                tuple((x + shift[0], y + shift[1]) for x, y in p.hexes),
+                (p.point[0] + dx, p.point[1] + dy),
+            )
+            for p in embedding.placements
+        ),
+        embedding.arities,
+    )
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_fmt_matches_its_reference_on_any_finite_float(value):
+    assert _fmt(value) == fmt_reference(value)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.one_of(
+        st.integers(-(10**9), 10**9).map(lambda k: k / 200),
+        # the exact binary ties of two decimals: odd multiples of 1/8
+        st.integers(-(10**9), 10**9).map(lambda q: (2 * q + 1) / 8),
+    )
+)
+@example(0.125)
+@example(-0.375)
+@example(2.675)  # just below its decimal tie in binary
+@example(1.005)
+def test_fmt_matches_its_reference_on_two_decimal_ties(value):
+    assert _fmt(value) == fmt_reference(value)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(-0.005, 0.0, exclude_min=True))
+@example(-0.0)
+@example(-0.004999999999999999)
+def test_fmt_never_writes_negative_zero(value):
+    assert _fmt(value) == fmt_reference(value) == "0.00"
+
+
+@pytest.mark.parametrize("anchor", range(12))
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.sampled_from(ALL_TRIADS), min_size=1, max_size=24),
+    st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
+)
+def test_render_matches_the_reference_on_random_progressions(anchor, triads, shift):
+    embedding = embed_path(_progression_annotation(triads), anchor)
+    for drawn in (embedding, _translated(embedding, shift)):
+        assert render_tonnetz_svg(drawn, anchor) == render_tonnetz_svg_reference(
+            drawn, anchor
+        )
+
+
 def test_render_empty_embedding_rejected():
     with pytest.raises(EmptyEmbedding):
         render_tonnetz_svg(PathEmbedding((), ()))
@@ -282,19 +350,53 @@ def test_place_triad_matches_the_full_scan_on_tie_targets(anchor):
         assert (got.hexes, got.point) == (want.hexes, want.point), (triad, near)
 
 
+# the tie targets moved by about 1e-10: candidate distances there differ by
+# less than the 9-decimal rounding of the placement key
+_NEAR_TIE_TARGETS = [
+    (x + nx, y + ny)
+    for x, y in _TIE_TARGETS[1:]
+    for nx, ny in ((1e-10, 0.0), (-7e-11, 1.3e-10))
+]
+
+
+@pytest.mark.parametrize("anchor", range(12))
+def test_place_triad_matches_the_full_scan_on_near_tie_targets(anchor):
+    for triad, near in itertools.product(ALL_TRIADS, _NEAR_TIE_TARGETS):
+        want = place_triad_reference(triad, near, anchor)
+        got = place_triad(triad, near, anchor)
+        assert (got.hexes, got.point) == (want.hexes, want.point), (triad, near)
+
+
+def _window_distances(triad, near) -> list[float]:
+    """Squared distance to ``near`` of every instance in the search window."""
+    ty = int(round(near[1] / _SQRT3_2))
+    tx = int(round(near[0] - ty / 2.0))
+    d2 = []
+    for y in range(ty - 8, ty + 9):
+        for x in range(tx - 16, tx + 17):
+            if node_pitch_class((x, y), 0) == triad.root:
+                p = _centroid(triad_hexes(triad, (x, y)))
+                d2.append((p[0] - near[0]) ** 2 + (p[1] - near[1]) ** 2)
+    return d2
+
+
+def test_near_tie_targets_hold_ties_only_after_rounding():
+    # in about one case in ten, instances at different distances round to
+    # the same nearest key, so the (x, y) tie-break decides among them
+    ties = 0
+    for triad, near in itertools.product(ALL_TRIADS, _NEAR_TIE_TARGETS):
+        d2 = _window_distances(triad, near)
+        nearest = min(round(d, 9) for d in d2)
+        ties += len({d for d in d2 if round(d, 9) == nearest}) > 1
+    assert ties > len(ALL_TRIADS) * len(_NEAR_TIE_TARGETS) // 20
+
+
 def test_tie_targets_hold_exact_ties():
     # in over a tenth of the cases several instances are nearest, so the
     # (x, y) tie-break decides
     ties = 0
     for triad, near in itertools.product(ALL_TRIADS, _TIE_TARGETS[1:]):
-        ty = int(round(near[1] / _SQRT3_2))
-        tx = int(round(near[0] - ty / 2.0))
-        d2 = []
-        for y in range(ty - 8, ty + 9):
-            for x in range(tx - 16, tx + 17):
-                if node_pitch_class((x, y), 0) == triad.root:
-                    p = _centroid(triad_hexes(triad, (x, y)))
-                    d2.append(round((p[0] - near[0]) ** 2 + (p[1] - near[1]) ** 2, 9))
+        d2 = [round(d, 9) for d in _window_distances(triad, near)]
         ties += d2.count(min(d2)) > 1
     assert ties > len(ALL_TRIADS) * len(_TIE_TARGETS) // 10
 

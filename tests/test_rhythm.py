@@ -4,6 +4,9 @@ import itertools
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from svg_reference import render_clock_svg_reference
 
 from tonnetzlab.chart import flatten, parse_chart
 from tonnetzlab.rhythm import (
@@ -231,3 +234,16 @@ def test_clock_svg_deterministic():
     clock = RhythmClock(((0, "B/F#"), (2, "f#7"), (3, "B/F#"), (4, "D6")), 8)
     assert render_clock_svg(clock) == render_clock_svg(clock)
     ET.fromstring(render_clock_svg(clock))
+
+
+@pytest.mark.parametrize("cycle", range(2, 25))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_clock_svg_matches_the_reference_on_every_cycle(cycle, data):
+    hours = data.draw(st.sets(st.integers(0, cycle - 1)), label="hours")
+    labels = data.draw(
+        st.lists(st.text(max_size=6), min_size=len(hours), max_size=len(hours)),
+        label="labels",
+    )
+    clock = RhythmClock(tuple(zip(sorted(hours), labels)), cycle)
+    assert render_clock_svg(clock) == render_clock_svg_reference(clock)
