@@ -9,11 +9,11 @@ Commands::
 
 All commands are deterministic: identical inputs and flags produce
 byte-identical outputs. Exit codes: 0 success, 2 input or usage errors. Every
-input error is a ``tonnetzlab.errors.TonnetzlabError`` or an ``OSError``, and
-``main`` reports it as one ``tonnetzlab: error:`` line on stderr; the parser
-reports a usage error the same way. A value that starts with ``-`` is given
-as ``--section=NAME`` or ``--pre-emphasis=-X``, as argparse reads a separate
-one as an option.
+input error is a ``tonnetzlab.errors.TonnetzlabError`` or an ``OSError``;
+``main`` reports it, and the parser a usage error, as the one stderr line of
+``errors.error_line``, which escapes every unprintable character. A value
+that starts with ``-`` is given as ``--section=NAME`` or
+``--pre-emphasis=-X``, as argparse reads a separate one as an option.
 
 Only ``chord-id`` loads the audio package ``tonnetzlab.chroma``, and numpy with
 it: ``load_wav`` and ``identify`` below import their chroma namesakes when first
@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
 
 from .chart import ChartDocument, ChartError, Section, flatten, parse_chart, progression
-from .errors import TonnetzlabError, clip
+from .errors import TonnetzlabError, clip, error_line
 from .harmony import Key, parse_pitch_class, pitch_class_name
 from .lattice import embed_path, render_tonnetz_svg
 from .rhythm import (
@@ -178,7 +178,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     doc = _read_chart(args.chart)
-    key = Key(parse_pitch_class(args.key)) if args.key else None
+    key = Key(parse_pitch_class(args.key)) if args.key is not None else None
     report = build_report(doc, key)
     _write_text(args.out, json.dumps(report, indent=2, ensure_ascii=False) + "\n")
     return 0
@@ -226,13 +226,13 @@ def _cmd_chord_id(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one ``tonnetzlab: error:`` line and exits 2.
+    """Reports a usage error as the one line of ``errors.error_line`` and exits 2.
 
     Subcommand parsers are made by ``add_subparsers`` with the same class.
     """
 
     def error(self, message: str) -> NoReturn:
-        self.exit(2, f"tonnetzlab: error: {' '.join(message.splitlines())}\n")
+        self.exit(2, error_line(message))
 
 
 @functools.cache
@@ -286,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (TonnetzlabError, OSError) as exc:
-        print(f"tonnetzlab: error: {exc}", file=sys.stderr)
+        sys.stderr.write(error_line(exc))
         return 2
 
 

@@ -1,7 +1,8 @@
-"""The one base class of every tonnetzlab domain error.
+"""The one base class of every tonnetzlab domain error, and the one error line.
 
 This module imports nothing, so any module can raise and the command line can
 catch domain errors without loading the audio stack (and numpy with it).
+Every exit-2 line is made by ``error_line``, so a raise site repeats input bare.
 """
 
 
@@ -10,6 +11,12 @@ class TonnetzlabError(ValueError):
 
 
 EXCERPT_CHARS = 40  # longest piece of input an error line repeats whole
+
+
+def error_line(error: object) -> str:
+    """The one stderr line reporting ``error``, each unprintable character ``repr``-escaped."""
+    text = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(error))
+    return f"tonnetzlab: error: {text}\n"
 
 
 def excerpt(text: str) -> str:
@@ -26,14 +33,9 @@ def excerpt(text: str) -> str:
 def clip(text: str) -> str:
     """Input text for an error line that shows it bare, such as a section name.
 
-    Printable text of up to ``EXCERPT_CHARS`` characters comes whole; longer
-    text is cut to its first ``EXCERPT_CHARS`` characters and its length, as
-    in ``excerpt``. Text holding a line break or another character that is not
-    printable comes as ``excerpt`` gives it, quoted with the character escaped,
-    so that the error stays one line and writes no control character.
+    Text of up to ``EXCERPT_CHARS`` characters comes whole; longer text is cut
+    to its first ``EXCERPT_CHARS`` characters and its length, as in ``excerpt``.
     """
-    if not text.isprintable():
-        return excerpt(text)
     if len(text) <= EXCERPT_CHARS:
         return text
     return f"{text[:EXCERPT_CHARS]}... ({len(text)} characters)"

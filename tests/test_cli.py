@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -28,11 +29,27 @@ def _run(*argv):
     return main([str(a) for a in argv])
 
 
+def _exit_code(*argv) -> int:
+    """``main``'s exit code, a usage error's ``SystemExit`` included."""
+    try:
+        return _run(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# the prefix, then no C0 or C1 control character and no DEL up to the one
+# trailing line break
+_ONE_ERROR_LINE = re.compile(r"tonnetzlab: error: [^\x00-\x1f\x7f-\x9f]*\n")
+
+
+def _is_one_error_line(err: str) -> bool:
+    return _ONE_ERROR_LINE.fullmatch(err) is not None
+
+
 def _assert_one_line_error(capsys) -> str:
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("tonnetzlab: error: ")
-    assert captured.err.count("\n") == 1
+    assert _is_one_error_line(captured.err), captured.err
     return captured.err
 
 
@@ -80,6 +97,11 @@ def test_analyze_key_override(lead_chart_path, tmp_path):
     assert report["key"] == "D"
     # A is now the dominant, not the tonic
     assert report["sections"][0]["roman"][0] == "V"
+
+
+def test_analyze_an_empty_key_is_an_error(lead_chart_path, capsys):
+    assert _run("analyze", lead_chart_path, "--key=") == 2
+    assert _assert_one_line_error(capsys) == "tonnetzlab: error: unknown note letter in ''\n"
 
 
 def test_analyze_missing_file(tmp_path, capsys):
@@ -328,15 +350,43 @@ def test_a_flag_value_read_as_a_flag_is_a_one_line_usage_error(
 
 @pytest.mark.parametrize("command", ["render-tonnetz", "render-clocks"])
 @pytest.mark.parametrize(
-    "section", ["Ver\nse", "A\rB", "\x1b[31mVerse"], ids=["newline", "return", "escape"]
+    "section, shown",
+    [("Ver\nse", "Ver\\nse"), ("A\rB", "A\\rB"), ("\x1b[31mVerse", "\\x1b[31mVerse")],
+    ids=["newline", "return", "escape"],
 )
 def test_a_section_flag_with_a_control_character_is_one_escaped_line(
-    lead_chart_path, tmp_path, capsys, command, section
+    lead_chart_path, tmp_path, capsys, command, section, shown
 ):
     assert _run(command, lead_chart_path, *_chart_flags(command, tmp_path, section)) == 2
-    err = _assert_one_line_error(capsys)
-    assert not any(c in err for c in "\r\x1b")
-    assert f"no section [{section!r}]; chart defines: Verse, " in err
+    assert _assert_one_line_error(capsys) == (
+        f"tonnetzlab: error: no section [{shown}]; "
+        "chart defines: Verse, Verse2, Bridge, Interlude, Coda\n"
+    )
+
+
+_TRUNCATED_WAV = b"RIFF\x24\x00\x00\x00WAVEfmt "
+_NOT_UTF8_CHART = b"\xff\xfekey: A\n"
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["chord-id", "x\ny.wav"], "x\\ny.wav: fmt chunk and/or data chunk missing"),
+        (["analyze", "n\nu.chart"], "n\\nu.chart: byte 0 is not UTF-8 (invalid start byte)"),
+        (["analyze", "CHART", "extra\x1b[31m"], "unrecognized arguments: extra\\x1b[31m"),
+        (["render-tonnetz", "CHART", "--section", "\u202eabc"],
+         "no section [\\u202eabc]; chart defines: Verse, Verse2, Bridge, Interlude, Coda"),
+    ],
+    ids=["wav-name", "chart-name", "usage-error", "section-flag"],
+)
+def test_unprintable_input_is_escaped_in_the_one_error_line(
+    lead_chart_path, tmp_path, monkeypatch, capsys, argv, shown
+):
+    monkeypatch.chdir(tmp_path)
+    Path("x\ny.wav").write_bytes(_TRUNCATED_WAV)
+    Path("n\nu.chart").write_bytes(_NOT_UTF8_CHART)
+    assert _exit_code(*(lead_chart_path if arg == "CHART" else arg for arg in argv)) == 2
+    assert _assert_one_line_error(capsys) == f"tonnetzlab: error: {shown}\n"
 
 
 def test_usage_error_with_a_line_break_stays_one_line(lead_chart_path, capsys):
@@ -527,7 +577,60 @@ def test_chord_id_exits_0_or_2_with_one_line_on_random_bytes(data):
             code = _run("chord-id", wav, "--out", Path(tmp) / "segments.jsonl")
     assert code in (0, 2)
     if code == 2:
-        assert err.getvalue().startswith("tonnetzlab: error: ")
-        assert err.getvalue().count("\n") == 1
+        assert _is_one_error_line(err.getvalue())
     else:
         assert err.getvalue() == ""
+
+
+# what a command line can carry: any character but NUL, and lone surrogates only
+# in U+DC80-U+DCFF, as os.fsdecode gives them for bytes that are not UTF-8; the
+# unprintable characters an error line must escape are drawn more often
+_ARG_CHARS = st.one_of(
+    st.characters(exclude_characters="\x00", exclude_categories=("Cs",)),
+    st.characters(min_codepoint=0xDC80, max_codepoint=0xDCFF),
+    st.sampled_from("\n\r\t\x1b\x7f\x85\u2028\u202e"),
+)
+# a file name also holds no "/", is not "." or "..", and fits in 255 bytes
+_FILE_NAMES = st.text(_ARG_CHARS.filter(lambda c: c != "/"), min_size=1, max_size=80).filter(
+    lambda name: name not in (".", "..") and len(os.fsencode(name)) <= 255
+)
+
+
+def _exit_code_and_stderr(*argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = _exit_code(*argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [("analyze", _NOT_UTF8_CHART), ("chord-id", _TRUNCATED_WAV)],
+    ids=["analyze", "chord-id"],
+)
+@settings(max_examples=100, deadline=None)
+@given(name=_FILE_NAMES)
+def test_a_bad_file_of_any_name_is_one_error_line(command, data, name):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(data)
+        code, err = _exit_code_and_stderr(command, path)
+    assert code == 2
+    assert _is_one_error_line(err), err
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=st.text(_ARG_CHARS, max_size=40))
+def test_any_section_flag_or_extra_argument_gives_exit_0_or_one_error_line(
+    lead_chart_path, text
+):
+    # a text read as an option cannot write outside the directory: the later
+    # --out overrides an --out=... it holds
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for argv in (
+            ["render-tonnetz", lead_chart_path, "--section", text, "--out", "t.svg"],
+            ["analyze", lead_chart_path, text, "--out", "report.json"],
+        ):
+            code, err = _exit_code_and_stderr(*argv)
+            assert code in (0, 2)
+            assert _is_one_error_line(err) if code == 2 else err == "", err
