@@ -279,9 +279,7 @@ def progression(section: Section) -> list[ChordSymbol]:
 
 def _event_token(event: ChordEvent, meter: int) -> str:
     text = event.symbol.canonical()
-    if event.duration != meter:
-        text += f":{event.duration}"
-    elif event.tied:
+    if event.duration != meter or event.tied:
         text += f":{event.duration}"
     return ("~" if event.tied else "") + text
 

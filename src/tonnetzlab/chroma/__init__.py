@@ -7,9 +7,9 @@ and triad template matching with median smoothing.
 
 from .dictionary import NoteDictionary, build_note_dictionary
 from .identify import ChordEstimate, chroma_fold, identify, match_chords
-from .nnls import nnls_activations, nnls_activations_batch
+from .nnls import nnls_activations_batch
 from .spectral import Spectrogram, log_freq_map, render_spectrogram_ppm, stft
-from .wavio import AudioBuffer, CorruptHeader, UnsupportedFormat, load_wav, write_wav
+from .wavio import AudioBuffer, CorruptHeader, UnsupportedFormat, load_wav
 
 __all__ = [
     "AudioBuffer",
@@ -24,9 +24,7 @@ __all__ = [
     "load_wav",
     "log_freq_map",
     "match_chords",
-    "nnls_activations",
     "nnls_activations_batch",
     "render_spectrogram_ppm",
     "stft",
-    "write_wav",
 ]

@@ -168,16 +168,6 @@ def nnls_activations_batch(
     return out
 
 
-def nnls_activations(
-    frame: np.ndarray,
-    dictionary: NoteDictionary,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> np.ndarray:
-    """Single-frame convenience wrapper."""
-    return nnls_activations_batch(frame[None, :], dictionary, tol, max_iter)[0]
-
-
 def nnls_residual_history(
     frame: np.ndarray,
     dictionary: NoteDictionary,

@@ -28,11 +28,6 @@ class SampleRateTooLow(TonnetzlabError):
     """The sample rate is too low to resolve the note range."""
 
 
-def midi_frequency(note: float) -> float:
-    """12-TET frequency with A4 = 440 Hz."""
-    return 440.0 * 2.0 ** ((note - 69) / 12.0)
-
-
 @dataclass(frozen=True)
 class Spectrogram:
     """Non-negative magnitude frames, one row per frame."""

@@ -26,10 +26,6 @@ class AudioBuffer:
     samples: np.ndarray
     sample_rate: int
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 def load_wav(path: str | Path) -> AudioBuffer:
     """Load a 16-bit PCM WAV file, downmixing stereo to mono by averaging."""
@@ -61,14 +57,3 @@ def load_wav(path: str | Path) -> AudioBuffer:
     if channels == 2:
         data = data.reshape(-1, 2).mean(axis=1)
     return AudioBuffer(data, rate)
-
-
-def write_wav(path: str | Path, samples: np.ndarray, sample_rate: int) -> None:
-    """Write mono float samples in [-1, 1] as 16-bit PCM."""
-    clipped = np.clip(samples, -1.0, 1.0)
-    pcm = (clipped * 32767.0).astype("<i2")
-    with wave.open(str(path), "wb") as handle:
-        handle.setnchannels(1)
-        handle.setsampwidth(2)
-        handle.setframerate(sample_rate)
-        handle.writeframes(pcm.tobytes())

@@ -136,10 +136,6 @@ def _section_json(section: Section, key: Key, meter: int) -> dict:
 def build_report(doc: ChartDocument, key: Key | None = None) -> dict:
     """Analysis report covering each distinct section named in the form."""
     key = key or doc.key
-    seen: list[str] = []
-    for name in doc.form:
-        if name not in seen:
-            seen.append(name)
     return {
         "version": REPORT_VERSION,
         "title": doc.title,
@@ -147,7 +143,8 @@ def build_report(doc: ChartDocument, key: Key | None = None) -> dict:
         "meter": doc.meter,
         "form": list(doc.form),
         "sections": [
-            _section_json(doc.sections[name], key, doc.meter) for name in seen
+            _section_json(doc.sections[name], key, doc.meter)
+            for name in dict.fromkeys(doc.form)
         ],
     }
 
@@ -158,7 +155,9 @@ def _read_chart(path: str) -> ChartDocument:
     except UnicodeDecodeError as exc:
         message = f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})"
         raise ChartError(message) from exc
-    return parse_chart(text)
+    # strip a byte-order mark after decoding: "utf-8-sig" would report the
+    # offset of a later bad byte three too low
+    return parse_chart(text.removeprefix("\ufeff"))
 
 
 def _get_section(doc: ChartDocument, name: str) -> Section:
@@ -233,6 +232,12 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> NoReturn:
         self.exit(2, error_line(message))
+
+    def _get_values(self, action: argparse.Action, arg_strings: list[str]):
+        # argparse drops a "--" value, as in --section=--, as if it ended the options
+        if action.option_strings and arg_strings == ["--"]:
+            return self._get_value(action, "--")
+        return super()._get_values(action, arg_strings)
 
 
 @functools.cache

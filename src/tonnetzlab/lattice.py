@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 from .errors import TonnetzlabError
 from .harmony import PitchClass, Quality, Triad, pitch_class_name, triad_of
-from .transforms import MoveKind, ProgressionAnnotation, tonnetz_distance
+from .transforms import ProgressionAnnotation, tonnetz_distance
 
 LatticeCoord = tuple[int, int]
 Point = tuple[float, float]

@@ -153,17 +153,14 @@ def detect_substructures(clocks: list[RhythmClock]) -> SubstructureReport:
     substructure). Reflections through the mirror from hour 0 to the opposite
     hour are reported for distinct pairs, comparing hour sets only.
     """
-    distinct: list[RhythmClock] = []
-    occurrence: list[int] = []
-    for clock in clocks:
-        if clock not in distinct:
-            distinct.append(clock)
-        occurrence.append(distinct.index(clock))
+    position: dict[RhythmClock, int] = {}
+    occurrence = [position.setdefault(clock, len(position)) for clock in clocks]
+    distinct = list(position)
 
     reflections = []
     for i in range(len(distinct)):
+        mirrored = set(reflect_clock(distinct[i], 0).hours)
         for j in range(i + 1, len(distinct)):
-            mirrored = set(reflect_clock(distinct[i], 0).hours)
             if mirrored == set(distinct[j].hours):
                 reflections.append(ReflectionPair(i, j, (0, distinct[i].cycle // 2)))
 

@@ -18,6 +18,7 @@ import enum
 from dataclasses import dataclass
 
 from .harmony import (
+    Accidental,
     ChordSymbol,
     Key,
     Quality,
@@ -123,7 +124,7 @@ def _is_plain(label: RomanLabel, degree: int, quality: Quality) -> bool:
     return (
         label.degree == degree
         and label.quality is quality
-        and label.accidental.name == "NATURAL"
+        and label.accidental is Accidental.NATURAL
         and label.secondary_of is None
     )
 

@@ -1,4 +1,4 @@
-"""Synthetic audio for demos and pipeline validation.
+"""Synthetic audio for the chord-id tests, and a 16-bit PCM WAV writer.
 
 Chords are voiced from the root in octave 3 (root MIDI = 48 + pitch class),
 each tone a stack of harmonics with geometric amplitude decay, so the expected
@@ -7,11 +7,29 @@ chord labels are known by construction.
 
 from __future__ import annotations
 
+import wave
+from pathlib import Path
+
 import numpy as np
 
-from ..harmony import ChordSymbol, Embellishment, Quality
-from .spectral import midi_frequency
-from .wavio import AudioBuffer
+from tonnetzlab.chroma import AudioBuffer
+from tonnetzlab.harmony import ChordSymbol, Embellishment, Quality
+
+
+def midi_frequency(note: float) -> float:
+    """12-TET frequency with A4 = 440 Hz."""
+    return 440.0 * 2.0 ** ((note - 69) / 12.0)
+
+
+def write_wav(path: str | Path, samples: np.ndarray, sample_rate: int) -> None:
+    """Write mono float samples in [-1, 1] as 16-bit PCM."""
+    clipped = np.clip(samples, -1.0, 1.0)
+    pcm = (clipped * 32767.0).astype("<i2")
+    with wave.open(str(path), "wb") as handle:
+        handle.setnchannels(1)
+        handle.setsampwidth(2)
+        handle.setframerate(sample_rate)
+        handle.writeframes(pcm.tobytes())
 
 
 def tone(

@@ -12,16 +12,11 @@ import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import synth
 
 from tonnetzlab.chart import flatten, progression
-from tonnetzlab.chroma import (
-    AudioBuffer,
-    build_note_dictionary,
-    identify,
-    nnls_activations,
-    synth,
-)
-from tonnetzlab.chroma.nnls import nnls_residual_history
+from tonnetzlab.chroma import AudioBuffer, build_note_dictionary, identify
+from tonnetzlab.chroma.nnls import nnls_activations_batch, nnls_residual_history
 from tonnetzlab.harmony import (
     ALL_TRIADS,
     Key,
@@ -215,12 +210,12 @@ def test_criterion_8_nnls_properties():
 
     column = 40
     target = dictionary.profiles[:, column].copy()
-    activations = nnls_activations(target, dictionary)
+    activations = nnls_activations_batch(target[None, :], dictionary)[0]
     assert abs(activations[column] - 1.0) <= 1e-3
     assert np.delete(activations, column).max() <= 1e-3
 
-    base = nnls_activations(frame, dictionary)
-    scaled = nnls_activations(4.0 * frame, dictionary)
+    base = nnls_activations_batch(frame[None, :], dictionary)[0]
+    scaled = nnls_activations_batch((4.0 * frame)[None, :], dictionary)[0]
     relative = np.max(np.abs(scaled - 4.0 * base)) / (4.0 * base.max())
     assert relative <= 1e-5
     print(

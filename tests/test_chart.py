@@ -5,7 +5,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tonnetzlab.chart import (
@@ -324,8 +324,13 @@ def test_clocks_tile_generated_sections(doc):
         assert onsets == [(t.onset, t.symbol.display) for t in timed]
 
 
+# argparse reads a lone "--" as the end of the options, even after "="
+_DASH_DASH = Section("--", ((ChordEvent(ChordSymbol(9, Quality.MAJOR), 4),),))
+
+
 @settings(max_examples=25, deadline=None)
 @given(doc=_documents())
+@example(doc=ChartDocument("", Key(9), 4, ("--",), {"--": _DASH_DASH}))
 def test_chart_commands_exit_0_on_generated_charts(doc):
     try:
         text = serialize_chart(doc)

@@ -9,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import synth
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
+from synth import write_wav
 
 import tonnetzlab
 from tonnetzlab.chroma import (
@@ -25,10 +27,8 @@ from tonnetzlab.chroma import (
     load_wav,
     log_freq_map,
     match_chords,
-    nnls_activations,
     render_spectrogram_ppm,
     stft,
-    write_wav,
 )
 from tonnetzlab.chroma.nnls import (
     DEFAULT_MAX_ITER,
@@ -46,7 +46,6 @@ from tonnetzlab.chroma.spectral import (
     Spectrogram,
     TooShort,
 )
-from tonnetzlab.chroma import synth
 from tonnetzlab.harmony import parse_chord_symbol
 
 
@@ -306,7 +305,7 @@ def test_nnls_recovers_a_single_column():
     dictionary = build_note_dictionary()
     for note_index in (0, 21, 45, 72):
         target = dictionary.profiles[:, note_index].copy()
-        activations = nnls_activations(target, dictionary)
+        activations = nnls_activations_batch(target[None, :], dictionary)[0]
         assert abs(activations[note_index] - 1.0) <= 1e-3
         others = np.delete(activations, note_index)
         assert others.max() <= 1e-3
@@ -314,14 +313,14 @@ def test_nnls_recovers_a_single_column():
 
 def test_nnls_zero_frame():
     dictionary = build_note_dictionary()
-    assert not nnls_activations(np.zeros(73), dictionary).any()
+    assert not nnls_activations_batch(np.zeros(73)[None, :], dictionary)[0].any()
 
 
 def test_nnls_three_note_mixture_matches_oracle():
     dictionary = build_note_dictionary()
     picks = [10, 30, 50]
     target = dictionary.profiles[:, picks].sum(axis=1)
-    activations = nnls_activations(target, dictionary)
+    activations = nnls_activations_batch(target[None, :], dictionary)[0]
     assert all(activations[i] >= 0.9 for i in picks)
     residual = np.linalg.norm(dictionary.profiles @ activations - target)
     assert residual <= 1e-3
@@ -343,9 +342,9 @@ def test_nnls_scale_equivariant():
     dictionary = build_note_dictionary()
     rng = np.random.default_rng(11)
     target = np.abs(rng.standard_normal(73))
-    base = nnls_activations(target, dictionary)
+    base = nnls_activations_batch(target[None, :], dictionary)[0]
     for c in (10.0, 0.25):
-        scaled = nnls_activations(c * target, dictionary)
+        scaled = nnls_activations_batch((c * target)[None, :], dictionary)[0]
         assert np.max(np.abs(scaled - c * base)) <= 1e-5 * max(1.0, c) * base.max()
 
 

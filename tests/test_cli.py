@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import pkgutil
 import random
 import re
 import subprocess
@@ -15,12 +16,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import synth
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from synth import write_wav
 
 import tonnetzlab
 from tonnetzlab import cli
-from tonnetzlab.chroma import synth, write_wav
 from tonnetzlab.cli import main
 from tonnetzlab.harmony import parse_chord_symbol
 
@@ -396,6 +398,52 @@ def test_usage_error_with_a_line_break_stays_one_line(lead_chart_path, capsys):
     _assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize(
+    "argv, dest, code",
+    [
+        (["analyze", "CHART", "--key=--"], "key", 2),
+        (["analyze", "CHART", "--out=--"], "out", 0),
+        (["render-tonnetz", "CHART", "--section=--"], "section", 2),
+        (["render-tonnetz", "CHART", "--section=Verse", "--out=--"], "out", 0),
+        (["render-clocks", "CHART", "--section=--", "--out-dir=clocks"], "section", 2),
+        (["render-clocks", "CHART", "--section=Verse", "--out-dir=--"], "out_dir", 0),
+        (["chord-id", "a.wav", "--out=--"], "out", 0),
+        (["chord-id", "a.wav", "--spectrogram=--"], "spectrogram", 0),
+    ],
+)
+def test_a_lone_dash_dash_after_equals_is_the_options_value(
+    lead_chart_path, tmp_path, monkeypatch, capsys, argv, dest, code
+):
+    # argparse alone turns --opt=-- into an empty list, as if "--" ended the options
+    monkeypatch.chdir(tmp_path)
+    buf = synth.chord_sequence([parse_chord_symbol("A")], 1.0)
+    write_wav("a.wav", buf.samples, buf.sample_rate)
+    argv = [str(lead_chart_path) if arg == "CHART" else arg for arg in argv]
+    assert getattr(cli._build_parser().parse_args(argv), dest) == "--"
+    assert _exit_code(*argv) == code
+    if code:
+        _assert_one_line_error(capsys)
+    else:
+        assert Path("--").exists()
+
+
+def test_a_chart_with_a_byte_order_mark_reads_as_without(lead_chart_path, tmp_path):
+    bom = tmp_path / "bom.chart"
+    bom.write_bytes(b"\xef\xbb\xbf" + lead_chart_path.read_bytes())
+    assert _run("analyze", bom, "--out", tmp_path / "bom.json") == 0
+    assert _run("analyze", lead_chart_path, "--out", tmp_path / "plain.json") == 0
+    assert (tmp_path / "bom.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
+def test_a_bad_byte_after_a_byte_order_mark_is_named_at_its_offset(tmp_path, capsys):
+    chart = tmp_path / "bom.chart"
+    chart.write_bytes(b"\xef\xbb\xbfab\xff")
+    assert _run("analyze", chart) == 2
+    assert _assert_one_line_error(capsys) == (
+        f"tonnetzlab: error: {chart}: byte 5 is not UTF-8 (invalid start byte)\n"
+    )
+
+
 def test_help_keeps_argparse_output(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["render-tonnetz", "--help"])
@@ -472,6 +520,7 @@ for argv in (
 print("numpy" in sys.modules)
 assert main(["chord-id", sys.argv[3], "--out", out + "/segments.jsonl"]) == 0
 print("numpy" in sys.modules)
+print(*sorted(m for m in sys.modules if m.partition(".")[0] == "tonnetzlab"))
 """
 
 
@@ -489,7 +538,13 @@ def test_only_chord_id_imports_numpy(lead_chart_path, tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "True"]
+    numpy_before, numpy_after, loaded = done.stdout.splitlines()
+    assert [numpy_before, numpy_after] == ["False", "True"]
+    # the four commands between them load every module the package ships
+    shipped = {"tonnetzlab"} | {
+        m.name for m in pkgutil.walk_packages(tonnetzlab.__path__, "tonnetzlab.")
+    }
+    assert set(loaded.split()) == shipped - {"tonnetzlab.__main__"}
 
 
 # lines valid in every meter, in 4/4, in 3/4 or in 6/8 only, or never valid

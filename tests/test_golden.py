@@ -18,9 +18,10 @@ import hashlib
 from pathlib import Path
 
 import pytest
+import synth
+from synth import write_wav
 
 from tonnetzlab.chart import parse_chart
-from tonnetzlab.chroma import synth, write_wav
 from tonnetzlab.cli import main
 from tonnetzlab.harmony import parse_chord_symbol
 

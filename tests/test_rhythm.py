@@ -195,6 +195,48 @@ def test_same_hours_different_chords_are_distinct_substructures():
     assert report.occurrence_sequence == (0, 1)
 
 
+def _substructures_by_list_scan(clocks):
+    """Distinct clocks, occurrences and reflecting pairs, found by scanning lists."""
+    distinct, occurrence = [], []
+    for clock in clocks:
+        if clock not in distinct:
+            distinct.append(clock)
+        occurrence.append(distinct.index(clock))
+    reflections = [
+        (i, j, (0, distinct[i].cycle // 2))
+        for i in range(len(distinct))
+        for j in range(i + 1, len(distinct))
+        if set(reflect_clock(distinct[i], 0).hours) == set(distinct[j].hours)
+    ]
+    return tuple(distinct), tuple(occurrence), reflections
+
+
+def _clocks_of_cycle(cycle: int):
+    """Few hours and two labels, so that windows repeat and mirror each other."""
+    return st.builds(
+        lambda hours, label, partial: RhythmClock(
+            tuple((h, label) for h in sorted(hours)), cycle, partial
+        ),
+        st.sets(st.integers(0, cycle - 1), max_size=3),
+        st.sampled_from("AE"),
+        st.booleans(),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    clocks=st.sampled_from(CYCLES).flatmap(
+        lambda cycle: st.lists(_clocks_of_cycle(cycle), max_size=12)
+    )
+)
+def test_substructures_match_the_list_scan_reference(clocks):
+    report = detect_substructures(clocks)
+    distinct, occurrence, reflections = _substructures_by_list_scan(clocks)
+    assert report.distinct_clocks == distinct
+    assert report.occurrence_sequence == occurrence
+    assert [(r.first, r.second, r.axis_hours) for r in report.reflections] == reflections
+
+
 def test_recorded_bridge_split_measure_is_mixed(recorded_chart):
     clocks = clocks_for(
         flatten(recorded_chart.sections["Bridge"]), recorded_chart.meter
