@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from .errors import TonnetzlabError, clip, excerpt
 from .harmony import (
     ChordSymbol,
-    ChordSyntaxError,
     Key,
     parse_chord_symbol,
     parse_pitch_class,
@@ -42,39 +41,6 @@ from .harmony import (
 )
 
 MAX_METER = 12  # beats per measure
-
-
-class ChartError(TonnetzlabError):
-    """Base class for chart validation failures."""
-
-
-class MeterMismatch(ChartError):
-    def __init__(self, section: str, measure_index: int, total: int, meter: int):
-        super().__init__(
-            f"section [{clip(section)}] measure {measure_index + 1}: "
-            f"durations sum to {total}, meter is {meter}"
-        )
-        self.section = section
-        self.measure_index = measure_index
-
-
-class UnknownSectionInForm(ChartError):
-    pass
-
-
-class DuplicateSection(ChartError):
-    pass
-
-
-class ChordParseError(ChartError):
-    def __init__(self, line: int, column: int, message: str):
-        super().__init__(f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
-
-
-class BadTie(ChartError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -111,7 +77,7 @@ class ChartDocument:
 
 def _strip_comment(line: str) -> str:
     for i, ch in enumerate(line):
-        if ch == "#" and (i == 0 or line[i - 1] in " \t"):
+        if ch == "#" and (i == 0 or line[i - 1].isspace()):
             return line[:i]
     return line
 
@@ -127,7 +93,7 @@ def _beats(text: str) -> int | None:
 def _parse_meter(text: str, line_no: int) -> int:
     beats = _beats(text.split("/", 1)[0].strip())
     if beats is None or beats > MAX_METER:
-        raise ChartError(
+        raise TonnetzlabError(
             f"line {line_no}: bad meter {excerpt(text)} "
             f"(1 to {MAX_METER} beats a measure)"
         )
@@ -141,13 +107,15 @@ def _parse_event(token: str, line_no: int, column: int, meter: int) -> ChordEven
         chord_text, _, beats_text = body.partition(":")
         duration = _beats(beats_text)
         if duration is None:
-            raise ChordParseError(line_no, column, f"bad duration in {excerpt(token)}")
+            raise TonnetzlabError(
+                f"line {line_no}, column {column}: bad duration in {excerpt(token)}"
+            )
     else:
         chord_text, duration = body, meter
     try:
         symbol = parse_chord_symbol(chord_text)
-    except ChordSyntaxError as exc:
-        raise ChordParseError(line_no, column, str(exc)) from exc
+    except TonnetzlabError as exc:
+        raise TonnetzlabError(f"line {line_no}, column {column}: {exc}") from exc
     return ChordEvent(symbol, duration, tied)
 
 
@@ -178,9 +146,9 @@ def parse_chart(text: str) -> ChartDocument:
             close_section()
             name = line.strip()[1:-1].strip()
             if not name:
-                raise ChartError(f"line {line_no}: empty section name")
+                raise TonnetzlabError(f"line {line_no}: empty section name")
             if name in sections:
-                raise DuplicateSection(
+                raise TonnetzlabError(
                     f"line {line_no}: section [{clip(name)}] redefined"
                 )
             current = name
@@ -188,7 +156,7 @@ def parse_chart(text: str) -> ChartDocument:
 
         if current is None:
             if ":" not in line:
-                raise ChartError(f"line {line_no}: expected 'header: value'")
+                raise TonnetzlabError(f"line {line_no}: expected 'header: value'")
             head, _, value = line.partition(":")
             head, value = head.strip().lower(), value.strip()
             if head == "title":
@@ -200,11 +168,13 @@ def parse_chart(text: str) -> ChartDocument:
             elif head == "form":
                 form = tuple(value.split())
             else:
-                raise ChartError(f"line {line_no}: unknown header {excerpt(head)}")
+                raise TonnetzlabError(f"line {line_no}: unknown header {excerpt(head)}")
             continue
 
         if meter is None:
-            raise ChartError(f"line {line_no}: meter must be declared before sections")
+            raise TonnetzlabError(
+                f"line {line_no}: meter must be declared before sections"
+            )
         end = 0  # where the previous token ends; a token's text can recur earlier
         for chunk in line.split("|"):
             tokens = chunk.split()
@@ -217,11 +187,11 @@ def parse_chart(text: str) -> ChartDocument:
                 event = _parse_event(token, line_no, start + 1, meter)
                 if event.tied:
                     if last_event is None:
-                        raise BadTie(
+                        raise TonnetzlabError(
                             f"line {line_no}: tie with no preceding chord"
                         )
                     if event.symbol != last_event.symbol:
-                        raise BadTie(
+                        raise TonnetzlabError(
                             f"line {line_no}: tie continues "
                             f"{last_event.symbol.display!r}, got {excerpt(token)}"
                         )
@@ -229,7 +199,10 @@ def parse_chart(text: str) -> ChartDocument:
                 last_event = event
             total = sum(e.duration for e in events)
             if total != meter:
-                raise MeterMismatch(current, len(measures), total, meter)
+                raise TonnetzlabError(
+                    f"section [{clip(current)}] measure {len(measures) + 1}: "
+                    f"durations sum to {total}, meter is {meter}"
+                )
             measures.append(tuple(events))
     close_section()
 
@@ -239,10 +212,10 @@ def parse_chart(text: str) -> ChartDocument:
             for name, value in (("key", key), ("meter", meter), ("form", form))
             if value is None
         ]
-        raise ChartError(f"missing header(s): {', '.join(missing)}")
+        raise TonnetzlabError(f"missing header(s): {', '.join(missing)}")
     for name in form:
         if name not in sections:
-            raise UnknownSectionInForm(f"form names unknown section {excerpt(name)}")
+            raise TonnetzlabError(f"form names unknown section {excerpt(name)}")
     return ChartDocument(title, key, meter, form, sections)
 
 
@@ -294,7 +267,7 @@ def _writable(text: str) -> bool:
 def serialize_chart(doc: ChartDocument) -> str:
     """Canonical text form; ``parse_chart`` of the result round-trips.
 
-    Raises ChartError for a title or section name the format cannot carry:
+    Raises TonnetzlabError for a title or section name the format cannot carry:
     one with edge whitespace, a line break or a ``#`` that starts a comment,
     or a form entry that holds whitespace.
     """
@@ -302,7 +275,7 @@ def serialize_chart(doc: ChartDocument) -> str:
     bad = [text for text in (doc.title, *names) if not _writable(text)]
     bad += [name for name in doc.form if name.split() != [name]]
     if bad:
-        raise ChartError(f"{excerpt(bad[0])} cannot be written in a chart")
+        raise TonnetzlabError(f"{excerpt(bad[0])} cannot be written in a chart")
     lines = []
     if doc.title:
         lines.append(f"title: {doc.title}")

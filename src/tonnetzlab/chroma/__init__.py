@@ -9,15 +9,13 @@ from .dictionary import NoteDictionary, build_note_dictionary
 from .identify import ChordEstimate, chroma_fold, identify, match_chords
 from .nnls import nnls_activations_batch
 from .spectral import Spectrogram, log_freq_map, render_spectrogram_ppm, stft
-from .wavio import AudioBuffer, CorruptHeader, UnsupportedFormat, load_wav
+from .wavio import AudioBuffer, load_wav
 
 __all__ = [
     "AudioBuffer",
     "ChordEstimate",
-    "CorruptHeader",
     "NoteDictionary",
     "Spectrogram",
-    "UnsupportedFormat",
     "build_note_dictionary",
     "chroma_fold",
     "identify",

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import TonnetzlabError
-from ..harmony import NOTE_NAMES
+from ..harmony import ALL_TRIADS
 from .dictionary import build_note_dictionary
 from .nnls import nnls_activations_batch
 from .spectral import LOW_NOTE, NOTE_COUNT, Spectrogram, log_freq_map, stft
@@ -22,19 +22,12 @@ assert LOW_NOTE % 12 == 0
 _OCTAVES = (NOTE_COUNT + 11) // 12  # C1..B6 and the lone C7
 
 # 24 binary triad templates: majors C..B then minors c..b
-TRIAD_LABELS = [NOTE_NAMES[r] for r in range(12)] + [
-    NOTE_NAMES[r].lower() for r in range(12)
-]
+TRIAD_LABELS = [t.name for t in ALL_TRIADS]
 
 _TEMPLATES = np.zeros((24, 12))
-for _r in range(12):
-    _TEMPLATES[_r, [_r, (_r + 4) % 12, (_r + 7) % 12]] = 1.0
-    _TEMPLATES[12 + _r, [_r, (_r + 3) % 12, (_r + 7) % 12]] = 1.0
+for _i, _t in enumerate(ALL_TRIADS):
+    _TEMPLATES[_i, sorted(_t.pitch_classes())] = 1.0
 _TEMPLATES_UNIT = _TEMPLATES / np.linalg.norm(_TEMPLATES, axis=1, keepdims=True)
-
-
-class BadPreEmphasis(TonnetzlabError):
-    """The pre-emphasis coefficient is nan or lies outside [-1, 1]."""
 
 
 @dataclass(frozen=True)
@@ -109,12 +102,12 @@ def identify(
 
     ``pre_emphasis`` applies the first-order filter y[n] = x[n] - c*x[n-1]
     before analysis, tilting energy toward the upper harmonics; 0 disables it.
-    A coefficient outside [-1, 1], nan included, raises BadPreEmphasis.
+    A coefficient outside [-1, 1], nan included, raises TonnetzlabError.
     Returns the segment list and the spectrogram (for optional image export).
     Deterministic: identical samples produce identical segments.
     """
     if not abs(pre_emphasis) <= 1.0:  # also true for nan
-        raise BadPreEmphasis(
+        raise TonnetzlabError(
             f"pre-emphasis coefficient must lie in [-1, 1], got {pre_emphasis}"
         )
     if pre_emphasis:

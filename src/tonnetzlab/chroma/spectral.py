@@ -20,14 +20,6 @@ FRAME_BLOCK = 64  # frames per block of the STFT and the NNLS matrix products
 GAMMA = 100.0  # log compression of the PPM spectrogram
 
 
-class TooShort(TonnetzlabError):
-    """The buffer is shorter than one analysis window."""
-
-
-class SampleRateTooLow(TonnetzlabError):
-    """The sample rate is too low to resolve the note range."""
-
-
 @dataclass(frozen=True)
 class Spectrogram:
     """Non-negative magnitude frames, one row per frame."""
@@ -53,8 +45,8 @@ class Spectrogram:
 def stft(buffer: AudioBuffer) -> Spectrogram:
     """Magnitude STFT with a Hann window.
 
-    Frame count is floor((len - window) / hop) + 1; raises TooShort when the
-    buffer does not cover one window. Frames are windowed, transformed and
+    Frame count is floor((len - window) / hop) + 1; raises TonnetzlabError when
+    the buffer does not cover one window. Frames are windowed, transformed and
     rectified FRAME_BLOCK at a time into one preallocated array: each step's
     arrays then stay in cache (a 64 s track's whole-track windows, spectrum
     and magnitudes are 11-22 MB each), and every frame's arithmetic is its
@@ -62,7 +54,7 @@ def stft(buffer: AudioBuffer) -> Spectrogram:
     """
     samples = np.asarray(buffer.samples, dtype=np.float64)
     if len(samples) < WINDOW_SIZE:
-        raise TooShort(
+        raise TonnetzlabError(
             f"need at least {WINDOW_SIZE} samples, got {len(samples)}"
         )
     windows = sliding_window_view(samples, WINDOW_SIZE)[::HOP]
@@ -83,7 +75,7 @@ def log_freq_map(spec: Spectrogram) -> np.ndarray:
     they enter the product. Returns (n_frames, 73).
     """
     if spec.sample_rate < 8000:
-        raise SampleRateTooLow(
+        raise TonnetzlabError(
             f"sample rate {spec.sample_rate} Hz is below 8 kHz "
             "and cannot resolve the note range"
         )

@@ -11,14 +11,6 @@ import numpy as np
 from ..errors import TonnetzlabError
 
 
-class UnsupportedFormat(TonnetzlabError):
-    pass
-
-
-class CorruptHeader(TonnetzlabError):
-    pass
-
-
 @dataclass(frozen=True)
 class AudioBuffer:
     """Mono samples in [-1, 1] at a given sample rate."""
@@ -39,17 +31,17 @@ def load_wav(path: str | Path) -> AudioBuffer:
     except (wave.Error, EOFError) as exc:
         # wave raises a bare EOFError when the file ends inside a header
         reason = str(exc) or "the file ends inside a header"
-        raise CorruptHeader(f"{path}: {reason}") from exc
+        raise TonnetzlabError(f"{path}: {reason}") from exc
     except RuntimeError as exc:
         # the chunk reader's seek raises a bare RuntimeError when a chunk's
         # declared size runs past the end of the file
-        raise CorruptHeader(f"{path}: a chunk runs past the end of the file") from exc
+        raise TonnetzlabError(f"{path}: a chunk runs past the end of the file") from exc
     if comp != "NONE":
-        raise UnsupportedFormat(f"{path}: compressed WAV is not supported")
+        raise TonnetzlabError(f"{path}: compressed WAV is not supported")
     if width != 2:
-        raise UnsupportedFormat(f"{path}: only 16-bit PCM is supported, got {8 * width}-bit")
+        raise TonnetzlabError(f"{path}: only 16-bit PCM is supported, got {8 * width}-bit")
     if channels not in (1, 2):
-        raise UnsupportedFormat(f"{path}: expected 1 or 2 channels, got {channels}")
+        raise TonnetzlabError(f"{path}: expected 1 or 2 channels, got {channels}")
 
     # a data chunk cut short can end mid-frame; drop the partial frame
     frames = frames[: len(frames) - len(frames) % (width * channels)]

@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
 
-from .chart import ChartDocument, ChartError, Section, flatten, parse_chart, progression
+from .chart import ChartDocument, Section, flatten, parse_chart, progression
 from .errors import TonnetzlabError, clip, error_line
 from .harmony import Key, parse_pitch_class, pitch_class_name
 from .lattice import embed_path, render_tonnetz_svg
@@ -50,10 +50,6 @@ FLAT_SEVEN_NOTE = (
     "♭VII denotes the lowered-leading-tone chord; "
     "pop-era practice often writes the same chord as plain VII."
 )
-
-
-class UnknownSection(TonnetzlabError):
-    pass
 
 
 def load_wav(path: str | Path) -> AudioBuffer:
@@ -154,7 +150,7 @@ def _read_chart(path: str) -> ChartDocument:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         message = f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})"
-        raise ChartError(message) from exc
+        raise TonnetzlabError(message) from exc
     # strip a byte-order mark after decoding: "utf-8-sig" would report the
     # offset of a later bad byte three too low
     return parse_chart(text.removeprefix("\ufeff"))
@@ -162,7 +158,7 @@ def _read_chart(path: str) -> ChartDocument:
 
 def _get_section(doc: ChartDocument, name: str) -> Section:
     if name not in doc.sections:
-        raise UnknownSection(
+        raise TonnetzlabError(
             f"no section [{clip(name)}]; chart defines: {clip(', '.join(doc.sections))}"
         )
     return doc.sections[name]

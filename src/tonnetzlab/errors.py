@@ -1,7 +1,8 @@
-"""The one base class of every tonnetzlab domain error, and the one error line.
+"""The one tonnetzlab domain error class, and the one error line.
 
-This module imports nothing, so any module can raise and the command line can
-catch domain errors without loading the audio stack (and numpy with it).
+Every module raises ``TonnetzlabError`` for input it rejects; the message names
+the cause. This module imports nothing, so any module can raise and the command
+line can catch domain errors without loading the audio stack (and numpy with it).
 Every exit-2 line is made by ``error_line``, so a raise site repeats input bare.
 """
 

@@ -28,26 +28,6 @@ MAJOR_SCALE_DEGREES = {0: 1, 2: 2, 4: 3, 5: 4, 7: 5, 9: 6, 11: 7}
 _ROMAN_NUMERALS = ["I", "II", "III", "IV", "V", "VI", "VII"]
 
 
-class ChordSyntaxError(TonnetzlabError):
-    """Base class for chord-token parse failures."""
-
-
-class UnknownRootLetter(ChordSyntaxError):
-    pass
-
-
-class MalformedAccidental(ChordSyntaxError):
-    pass
-
-
-class BassNotInChord(ChordSyntaxError):
-    pass
-
-
-class TrailingGarbage(ChordSyntaxError):
-    pass
-
-
 class Quality(enum.Enum):
     MAJOR = "major"
     MINOR = "minor"
@@ -73,12 +53,12 @@ def pitch_class_name(pc: PitchClass) -> str:
 def parse_pitch_class(text: str) -> PitchClass:
     """Parse a note name such as ``F#``, ``Bb`` or ``E♭`` to a pitch class."""
     if not text or text[0].upper() not in _LETTER_PCS:
-        raise UnknownRootLetter(f"unknown note letter in {excerpt(text)}")
+        raise TonnetzlabError(f"unknown note letter in {excerpt(text)}")
     pc = _LETTER_PCS[text[0].upper()]
     rest = text[1:]
     if rest:
         if len(rest) > 1 or rest not in _SHARP_CHARS + _FLAT_CHARS:
-            raise MalformedAccidental(f"bad accidental in {excerpt(text)}")
+            raise TonnetzlabError(f"bad accidental in {excerpt(text)}")
         pc += 1 if rest in _SHARP_CHARS else -1
     return pc % 12
 
@@ -175,21 +155,21 @@ class RomanLabel:
 def parse_chord_symbol(token: str) -> ChordSymbol:
     """Parse a chord token such as ``A``, ``f#7``, ``Bm``, or ``B/F#``.
 
-    Raises UnknownRootLetter, MalformedAccidental, BassNotInChord, or
-    TrailingGarbage on invalid input.
+    Raises TonnetzlabError on invalid input: an unknown root letter, a double
+    accidental, trailing text, or a bass note outside the chord.
     """
     if not token:
-        raise UnknownRootLetter("empty chord token")
+        raise TonnetzlabError("empty chord token")
     letter = token[0]
     if letter.upper() not in _LETTER_PCS:
-        raise UnknownRootLetter(f"unknown root letter {letter!r} in {excerpt(token)}")
+        raise TonnetzlabError(f"unknown root letter {letter!r} in {excerpt(token)}")
     quality = Quality.MAJOR if letter.isupper() else Quality.MINOR
     root = _LETTER_PCS[letter.upper()]
     rest = token[1:]
 
     if rest and rest[0] in _SHARP_CHARS + _FLAT_CHARS:
         if len(rest) > 1 and rest[1] in _SHARP_CHARS + _FLAT_CHARS:
-            raise MalformedAccidental(f"double accidental in {excerpt(token)}")
+            raise TonnetzlabError(f"double accidental in {excerpt(token)}")
         root += 1 if rest[0] in _SHARP_CHARS else -1
         rest = rest[1:]
     root %= 12
@@ -211,11 +191,11 @@ def parse_chord_symbol(token: str) -> ChordSymbol:
         rest = ""
 
     if rest:
-        raise TrailingGarbage(f"unexpected {excerpt(rest)} at end of {excerpt(token)}")
+        raise TonnetzlabError(f"unexpected {excerpt(rest)} at end of {excerpt(token)}")
 
     symbol = ChordSymbol(root, quality, embellishment, bass, text=token)
     if bass is not None and bass not in pitch_class_set(symbol):
-        raise BassNotInChord(
+        raise TonnetzlabError(
             f"bass {pitch_class_name(bass)} is not a tone of {excerpt(token)}"
         )
     return symbol

@@ -54,10 +54,6 @@ MARGIN = 1  # extra hexagon rings around the path's bounding box
 _TIE_SPAN = 1e-9
 
 
-class EmptyEmbedding(TonnetzlabError):
-    """Rendering needs at least one placed triad."""
-
-
 def node_pitch_class(coord: LatticeCoord, anchor: PitchClass) -> PitchClass:
     x, y = coord
     return (7 * x + 4 * y + anchor) % 12
@@ -100,8 +96,8 @@ def place_triad(
     target_x, target_y = near if near is not None else (0.0, 0.0)
     ty = int(round(target_y / _SQRT3_2))
     tx = int(round(target_x - ty / 2.0))
-    # the third hexagon sits at (x + dx3, y + dy3); see triad_hexes
-    dx3, dy3 = (0, 1) if triad.quality is Quality.MAJOR else (1, -1)
+    # the third hexagon sits at (x + dx3, y + dy3)
+    dx3, dy3 = triad_hexes(triad, (0, 0))[2]
     x_lo, x_hi = tx - 16, tx + 17
     nearest = math.inf
     near_candidates: list[tuple[float, int, int, float, float]] = []
@@ -161,7 +157,7 @@ def embed_path(
         if not triads or triads[-1] != t:
             triads.append(t)
     if not triads:
-        raise EmptyEmbedding("no chords to embed")
+        raise TonnetzlabError("no chords to embed")
 
     placements = [place_triad(triads[0], None, anchor)]
     for t in triads[1:]:
@@ -243,7 +239,7 @@ def render_tonnetz_svg(embedding: PathEmbedding, anchor: PitchClass = 0) -> str:
     and the start and end chords are circled. Output is deterministic.
     """
     if not embedding.placements:
-        raise EmptyEmbedding("cannot render an empty embedding")
+        raise TonnetzlabError("cannot render an empty embedding")
     scale = HEX_SIZE
 
     used = {h for p in embedding.placements for h in p.hexes}

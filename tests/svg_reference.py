@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 
+from tonnetzlab.errors import TonnetzlabError
 from tonnetzlab.harmony import pitch_class_name
 from tonnetzlab.lattice import (
     _HEX_CORNERS,
     _STYLE,
     HEX_SIZE,
     MARGIN,
-    EmptyEmbedding,
     PathEmbedding,
     _arrow,
     _svg_point,
@@ -45,7 +45,7 @@ def _hexagon_path(center, scale: float) -> str:
 
 def render_tonnetz_svg_reference(embedding: PathEmbedding, anchor: int = 0) -> str:
     if not embedding.placements:
-        raise EmptyEmbedding("cannot render an empty embedding")
+        raise TonnetzlabError("cannot render an empty embedding")
     scale = HEX_SIZE
 
     used = {h for p in embedding.placements for h in p.hexes}

@@ -9,21 +9,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tonnetzlab.chart import (
-    BadTie,
     ChartDocument,
     ChordEvent,
-    ChordParseError,
-    DuplicateSection,
-    MeterMismatch,
     Section,
-    UnknownSectionInForm,
-    ChartError,
     flatten,
     parse_chart,
     progression,
     serialize_chart,
 )
 from tonnetzlab.cli import main
+from tonnetzlab.errors import TonnetzlabError
 from tonnetzlab.harmony import ChordSymbol, Embellishment, Key, Quality, pitch_class_set
 from tonnetzlab.rhythm import clocks_for
 
@@ -60,60 +55,96 @@ def test_bare_chord_fills_the_measure():
 
 
 def test_meter_mismatch():
-    with pytest.raises(MeterMismatch) as info:
+    with pytest.raises(TonnetzlabError) as info:
         parse_chart(_chart("A:3"))
-    assert info.value.measure_index == 0
     assert str(info.value) == "section [Main] measure 1: durations sum to 3, meter is 4"
+    with pytest.raises(TonnetzlabError) as info:
+        parse_chart(_chart("A | A:3"))
+    assert str(info.value) == "section [Main] measure 2: durations sum to 3, meter is 4"
 
 
 def test_duplicate_section():
     name = "M" * 40  # the longest name an error line repeats whole
     text = f"key: A\nmeter: 4/4\nform: {name}\n[{name}]\nA\n[{name}]\nA\n"
-    with pytest.raises(DuplicateSection) as info:
+    with pytest.raises(TonnetzlabError) as info:
         parse_chart(text)
     assert str(info.value) == f"line 6: section [{name}] redefined"
 
 
 def test_unknown_section_in_form():
     text = "key: A\nmeter: 4/4\nform: Main Missing\n[Main]\nA\n"
-    with pytest.raises(UnknownSectionInForm):
+    with pytest.raises(TonnetzlabError, match="^form names unknown section 'Missing'$"):
         parse_chart(text)
 
 
 def test_chord_parse_error_carries_location():
-    with pytest.raises(ChordParseError) as info:
+    with pytest.raises(TonnetzlabError) as info:
         parse_chart(_chart("A | H7"))
-    assert info.value.line == 5
-    assert info.value.column == 5
+    assert str(info.value) == "line 5, column 5: unknown root letter 'H' in 'H7'"
 
 
 def test_chord_parse_error_column_is_the_failing_token():
     # "7:2" fails; the same text occurs earlier, inside "A7:2"
-    with pytest.raises(ChordParseError) as info:
+    with pytest.raises(TonnetzlabError) as info:
         parse_chart(_chart("A7:2 7:2"))
-    assert info.value.column == 6
+    assert str(info.value) == "line 5, column 6: unknown root letter '7' in '7'"
+
+
+# measures of the good tokens A, E7, f#:2 and B/F#, each filling 4/4
+_MEASURES = [["A"], ["E7"], ["B/F#"], ["f#:2", "f#:2"]]
+# "7", ":2" and "/F#" also occur inside the good tokens earlier on the line
+_BAD_TOKENS = ["H7", "A##", "A/C", "A7x", "A:0", "A:\u00b2", "7", ":2", "/F#"]
+_SPACES = st.text(" \t", min_size=1, max_size=3)
+_BARS = st.tuples(st.text(" \t|", max_size=3), st.text(" \t", max_size=2)).map("|".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lines_before=st.integers(0, 3),
+    lead=st.text(" \t|", max_size=3),
+    measures=st.lists(st.sampled_from(_MEASURES), max_size=5),
+    data=st.data(),
+    bad=st.sampled_from(_BAD_TOKENS),
+)
+def test_chord_token_errors_name_their_line_and_column(
+    lines_before, lead, measures, data, bad
+):
+    line = lead
+    for index, measure in enumerate(measures):
+        if index:
+            line += data.draw(_BARS)
+        line += "".join(
+            (data.draw(_SPACES) if i else "") + token for i, token in enumerate(measure)
+        )
+    if measures:
+        line += data.draw(_BARS | _SPACES)
+    line += bad
+    with pytest.raises(TonnetzlabError) as info:
+        parse_chart(_chart("A | E7\n" * lines_before + line))
+    column = len(line) - len(bad) + 1
+    assert str(info.value).startswith(f"line {5 + lines_before}, column {column}: ")
 
 
 @pytest.mark.parametrize(
-    "text, error",
+    "text, message",
     [
-        (_chart("A", header="key: A\nmeter: \u00b2/4\nform: Main\n"), ChartError),
-        (_chart("A:\u00b2 E:2"), ChordParseError),
-        (_chart("A", f"key: A\nmeter: {'4' * 5000}/4\nform: Main\n"), ChartError),
-        (_chart(f"A:{'4' * 5000}"), ChordParseError),
+        (_chart("A", header="key: A\nmeter: \u00b2/4\nform: Main\n"), "^line 2: bad meter"),
+        (_chart("A:\u00b2 E:2"), "^line 5, column 1: bad duration"),
+        (_chart("A", f"key: A\nmeter: {'4' * 5000}/4\nform: Main\n"), "^line 2: bad meter"),
+        (_chart(f"A:{'4' * 5000}"), "^line 5, column 1: bad duration"),
     ],
     ids=["meter", "duration", "meter-over-4300-digits", "duration-over-4300-digits"],
 )
-def test_non_decimal_digits_are_a_chart_error(text, error):
+def test_non_decimal_digits_are_a_chart_error(text, message):
     # "\u00b2" (superscript two) passes str.isdigit but int() rejects it, as it
     # rejects a numeral of more than 4300 digits
-    with pytest.raises(error):
+    with pytest.raises(TonnetzlabError, match=message):
         parse_chart(text)
 
 
 @pytest.mark.parametrize("meter", ["0/4", "13/4", "300000/4", "x/4"])
 def test_meter_outside_one_to_twelve_beats_is_a_chart_error(meter):
-    with pytest.raises(ChartError, match="bad meter"):
+    with pytest.raises(TonnetzlabError, match="bad meter"):
         parse_chart(_chart("A", header=f"key: A\nmeter: {meter}\nform: Main\n"))
 
 
@@ -126,9 +157,9 @@ def test_meter_numerator_counts_beats(meter, beats):
 
 
 def test_missing_headers_reported():
-    with pytest.raises(ChartError, match="missing header"):
+    with pytest.raises(TonnetzlabError, match="missing header"):
         parse_chart("key: A\nmeter: 4/4\n[Main]\nA\n")
-    with pytest.raises(ChartError, match="meter must be declared"):
+    with pytest.raises(TonnetzlabError, match="meter must be declared"):
         parse_chart("key: A\n[Main]\nA\n")
 
 
@@ -143,6 +174,22 @@ def test_full_line_comments_and_blanks_ignored():
     assert len(doc.sections["Main"].measures) == 2
 
 
+# str.split() separates a measure's tokens at each of these, so each ends a token
+@pytest.mark.parametrize(
+    "space",
+    [" ", "\t", "\u00a0", "\u2009", "\u3000", "\x1f"],
+    ids=["space", "tab", "no-break-space", "thin-space", "ideographic-space", "x1f"],
+)
+def test_a_hash_after_any_whitespace_starts_a_comment(space):
+    doc = parse_chart(f"title: x{space}#1\n" + _chart(f"A{space}# note"))
+    assert doc.title == "x"
+    assert [e.symbol.display for m in doc.sections["Main"].measures for e in m] == ["A"]
+    # and a title holding such a comment cannot be written back
+    unwritable = ChartDocument(f"x{space}#1", doc.key, doc.meter, doc.form, doc.sections)
+    with pytest.raises(TonnetzlabError, match=" cannot be written in a chart$"):
+        serialize_chart(unwritable)
+
+
 def test_tie_extends_previous_event():
     doc = parse_chart(_chart("D:2 d:2 | A | ~A:2 E:2"))
     timed = flatten(doc.sections["Main"])
@@ -155,12 +202,12 @@ def test_tie_extends_previous_event():
 
 
 def test_tie_requires_matching_chord():
-    with pytest.raises(BadTie):
+    with pytest.raises(TonnetzlabError, match="^line 5: tie continues 'A', got '~E:2'$"):
         parse_chart(_chart("A | ~E:2 E:2"))
 
 
 def test_tie_requires_a_previous_event():
-    with pytest.raises(BadTie):
+    with pytest.raises(TonnetzlabError, match="^line 5: tie with no preceding chord$"):
         parse_chart(_chart("~A:2 E:2"))
 
 
@@ -298,7 +345,8 @@ def _documents(draw) -> ChartDocument:
 def test_serialize_parse_round_trip_on_generated_charts(doc):
     try:
         text = serialize_chart(doc)
-    except ChartError:
+    except TonnetzlabError as exc:
+        assert str(exc).endswith(" cannot be written in a chart")
         # only a comment marker or a line break makes a title or name unwritable
         assert any(c in "#\u2028" for c in doc.title + "".join(doc.sections))
         return
@@ -334,7 +382,7 @@ _DASH_DASH = Section("--", ((ChordEvent(ChordSymbol(9, Quality.MAJOR), 4),),))
 def test_chart_commands_exit_0_on_generated_charts(doc):
     try:
         text = serialize_chart(doc)
-    except ChartError:
+    except TonnetzlabError:
         assume(False)
     with tempfile.TemporaryDirectory() as tmp:
         chart = Path(tmp) / "generated.chart"
@@ -358,5 +406,5 @@ def test_chart_commands_exit_0_on_generated_charts(doc):
 )
 def test_serialize_refuses_what_would_read_back_differently(title, name):
     doc = ChartDocument(title, Key(9), 4, (name,), {name: Section(name, ())})
-    with pytest.raises(ChartError):
+    with pytest.raises(TonnetzlabError, match=" cannot be written in a chart$"):
         serialize_chart(doc)

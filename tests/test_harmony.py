@@ -4,16 +4,13 @@ import itertools
 
 import pytest
 
+from tonnetzlab.errors import TonnetzlabError
 from tonnetzlab.harmony import (
-    BassNotInChord,
     ChordSymbol,
     Embellishment,
     Key,
-    MalformedAccidental,
     Quality,
-    TrailingGarbage,
     Triad,
-    UnknownRootLetter,
     common_tones,
     parse_chord_symbol,
     pitch_class_set,
@@ -50,7 +47,7 @@ def test_parse_slash_bass():
 
 
 def test_parse_unknown_root_letter():
-    with pytest.raises(UnknownRootLetter):
+    with pytest.raises(TonnetzlabError, match="^unknown root letter 'H' in 'H'$"):
         parse_chord_symbol("H")
 
 
@@ -66,24 +63,24 @@ def test_parse_m_suffix_means_minor():
 
 
 def test_parse_double_accidental_rejected():
-    with pytest.raises(MalformedAccidental):
+    with pytest.raises(TonnetzlabError, match="^double accidental in 'A##'$"):
         parse_chord_symbol("A##")
 
 
 def test_parse_bass_must_be_chord_tone():
-    with pytest.raises(BassNotInChord):
+    with pytest.raises(TonnetzlabError, match="^bass C is not a tone of 'A/C'$"):
         parse_chord_symbol("A/C")
     # the embellishment tone counts as a chord tone
     assert parse_chord_symbol("E7/D").bass == D
 
 
 def test_parse_trailing_garbage():
-    with pytest.raises(TrailingGarbage):
+    with pytest.raises(TonnetzlabError, match="^unexpected 'x' at end of 'A7x'$"):
         parse_chord_symbol("A7x")
 
 
 def test_parse_empty_token():
-    with pytest.raises(UnknownRootLetter):
+    with pytest.raises(TonnetzlabError, match="^empty chord token$"):
         parse_chord_symbol("")
 
 

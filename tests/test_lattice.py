@@ -14,6 +14,7 @@ from svg_reference import fmt_reference, render_tonnetz_svg_reference
 
 from tonnetzlab.chart import ChartDocument, parse_chart, serialize_chart
 from tonnetzlab.cli import main
+from tonnetzlab.errors import TonnetzlabError
 from tonnetzlab.harmony import (
     ALL_TRIADS,
     Key,
@@ -24,7 +25,6 @@ from tonnetzlab.harmony import (
 )
 from tonnetzlab.lattice import (
     _SQRT3_2,
-    EmptyEmbedding,
     PathEmbedding,
     TriadPlacement,
     _fmt,
@@ -279,7 +279,7 @@ def test_render_matches_the_reference_on_random_progressions(anchor, triads, shi
 
 
 def test_render_empty_embedding_rejected():
-    with pytest.raises(EmptyEmbedding):
+    with pytest.raises(TonnetzlabError, match="^cannot render an empty embedding$"):
         render_tonnetz_svg(PathEmbedding((), ()))
 
 
