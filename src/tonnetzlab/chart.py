@@ -29,7 +29,7 @@ inside a token is an accidental (``f#:2`` is F-sharp minor for two beats).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import TonnetzlabError, clip, excerpt
 from .harmony import (
@@ -39,12 +39,13 @@ from .harmony import (
     parse_pitch_class,
     pitch_class_name,
 )
+from .record import record
 
 MAX_METER = 12  # beats per measure
 
 
-@dataclass(frozen=True)
-class ChordEvent:
+@record
+class ChordEvent(NamedTuple):
     symbol: ChordSymbol
     duration: int  # beats
     tied: bool = False  # continuation of the previous event's chord
@@ -53,26 +54,26 @@ class ChordEvent:
 Measure = tuple[ChordEvent, ...]
 
 
-@dataclass(frozen=True)
-class Section:
+@record
+class Section(NamedTuple):
     name: str
     measures: tuple[Measure, ...]
 
 
-@dataclass(frozen=True)
-class TimedChord:
+@record
+class TimedChord(NamedTuple):
     symbol: ChordSymbol
     onset: int  # beats from section start
     duration: int
 
 
-@dataclass
-class ChartDocument:
+@record
+class ChartDocument(NamedTuple):
     title: str
     key: Key
     meter: int  # beats per measure, quarter-note beat
     form: tuple[str, ...]
-    sections: dict[str, Section] = field(default_factory=dict)
+    sections: dict[str, Section]
 
 
 def _strip_comment(line: str) -> str:

@@ -11,7 +11,6 @@ handed out read-only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -22,9 +21,18 @@ HARMONICS = 8
 DECAY = 0.8
 
 
-@dataclass(frozen=True, eq=False)  # hashed by identity, for the caches below
 class NoteDictionary:
-    profiles: np.ndarray  # (bins, notes), unit-norm columns
+    """The dictionary's profiles, read-only; hashed by identity, for the caches below."""
+
+    __slots__ = ("_profiles",)
+
+    def __init__(self, profiles: np.ndarray) -> None:
+        self._profiles = profiles
+
+    @property
+    def profiles(self) -> np.ndarray:
+        """(bins, notes), unit-norm columns."""
+        return self._profiles
 
     @cache
     def gram(self) -> np.ndarray:

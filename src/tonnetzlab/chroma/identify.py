@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ..errors import TonnetzlabError
 from ..harmony import ALL_TRIADS
+from ..record import record
 from .dictionary import build_note_dictionary
 from .nnls import nnls_activations_batch
 from .spectral import LOW_NOTE, NOTE_COUNT, Spectrogram, log_freq_map, stft
@@ -30,8 +31,8 @@ for _i, _t in enumerate(ALL_TRIADS):
 _TEMPLATES_UNIT = _TEMPLATES / np.linalg.norm(_TEMPLATES, axis=1, keepdims=True)
 
 
-@dataclass(frozen=True)
-class ChordEstimate:
+@record
+class ChordEstimate(NamedTuple):
     """One labeled segment; ``N`` means no identifiable chord."""
 
     label: str

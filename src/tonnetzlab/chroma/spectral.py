@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import TonnetzlabError
+from ..record import record
 from .wavio import AudioBuffer
 
 LOW_NOTE = 24  # C1
@@ -20,8 +21,8 @@ FRAME_BLOCK = 64  # frames per block of the STFT and the NNLS matrix products
 GAMMA = 100.0  # log compression of the PPM spectrogram
 
 
-@dataclass(frozen=True)
-class Spectrogram:
+@record
+class Spectrogram(NamedTuple):
     """Non-negative magnitude frames, one row per frame."""
 
     frames: np.ndarray  # shape (n_frames, WINDOW_SIZE // 2 + 1)

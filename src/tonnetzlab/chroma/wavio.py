@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 import wave
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from ..errors import TonnetzlabError
+from ..record import record
 
 
-@dataclass(frozen=True)
-class AudioBuffer:
+@record
+class AudioBuffer(NamedTuple):
     """Mono samples in [-1, 1] at a given sample rate."""
 
     samples: np.ndarray
@@ -26,18 +27,19 @@ def load_wav(path: str | Path) -> AudioBuffer:
             channels = handle.getnchannels()
             width = handle.getsampwidth()
             rate = handle.getframerate()
-            comp = handle.getcomptype()
             frames = handle.readframes(handle.getnframes())
     except (wave.Error, EOFError) as exc:
-        # wave raises a bare EOFError when the file ends inside a header
+        # wave raises a bare EOFError when the file ends inside a header, and
+        # "unknown format: N" for every format tag N but PCM's
         reason = str(exc) or "the file ends inside a header"
+        if reason.startswith("unknown format: "):
+            tag = reason.partition(": ")[2]
+            reason = f"only 16-bit PCM WAV is read, got format tag {tag}"
         raise TonnetzlabError(f"{path}: {reason}") from exc
     except RuntimeError as exc:
         # the chunk reader's seek raises a bare RuntimeError when a chunk's
         # declared size runs past the end of the file
         raise TonnetzlabError(f"{path}: a chunk runs past the end of the file") from exc
-    if comp != "NONE":
-        raise TonnetzlabError(f"{path}: compressed WAV is not supported")
     if width != 2:
         raise TonnetzlabError(f"{path}: only 16-bit PCM is supported, got {8 * width}-bit")
     if channels not in (1, 2):

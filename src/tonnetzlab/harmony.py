@@ -11,9 +11,10 @@ original token is kept on the symbol for display.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import TonnetzlabError, excerpt
+from .record import record
 
 PitchClass = int  # 0..11, C = 0
 
@@ -63,8 +64,8 @@ def parse_pitch_class(text: str) -> PitchClass:
     return pc % 12
 
 
-@dataclass(frozen=True)
-class Triad:
+@record
+class Triad(NamedTuple):
     """A major or minor triad reduced to its root pitch class and quality."""
 
     root: PitchClass
@@ -85,8 +86,8 @@ ALL_TRIADS = tuple(
 )
 
 
-@dataclass(frozen=True)
-class ChordSymbol:
+@record
+class ChordSymbol(NamedTuple):
     """A parsed lead-sheet chord token.
 
     ``text`` keeps the token as written (display only); equality and hashing
@@ -98,7 +99,13 @@ class ChordSymbol:
     quality: Quality
     embellishment: Embellishment = Embellishment.NONE
     bass: PitchClass | None = None
-    text: str = field(default="", compare=False)
+    text: str = ""
+
+    def __eq__(self, other) -> bool:
+        return type(other) is ChordSymbol and self[:4] == other[:4]
+
+    def __hash__(self) -> int:
+        return hash(self[:4])
 
     def canonical(self) -> str:
         """Canonical token: sharp-preferred root, case encodes quality."""
@@ -115,15 +122,15 @@ class ChordSymbol:
         return self.text or self.canonical()
 
 
-@dataclass(frozen=True)
-class Key:
+@record
+class Key(NamedTuple):
     """A major key; only major keys are supported."""
 
     tonic: PitchClass
 
 
-@dataclass(frozen=True)
-class RomanLabel:
+@record
+class RomanLabel(NamedTuple):
     """A Roman-numeral chord label relative to a major key."""
 
     degree: int
@@ -132,7 +139,7 @@ class RomanLabel:
     embellishment: Embellishment = Embellishment.NONE
     secondary_of: "RomanLabel | None" = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 1 <= self.degree <= 7:
             raise ValueError(f"degree out of range: {self.degree}")
         if self.secondary_of is not None and self.degree != 5:

@@ -38,10 +38,11 @@ the two extreme centers, as fl(c - r) and fl(c + r) grow with c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import TonnetzlabError
 from .harmony import PitchClass, Quality, Triad, pitch_class_name, triad_of
+from .record import record
 from .transforms import ProgressionAnnotation, tonnetz_distance
 
 LatticeCoord = tuple[int, int]
@@ -72,8 +73,8 @@ def triad_hexes(triad: Triad, root_coord: LatticeCoord) -> tuple[LatticeCoord, .
     return ((x, y), (x + 1, y), (x + 1, y - 1))
 
 
-@dataclass(frozen=True)
-class TriadPlacement:
+@record
+class TriadPlacement(NamedTuple):
     """One lattice instance of a triad: its three hexagons and their junction."""
 
     triad: Triad
@@ -126,8 +127,8 @@ def place_triad(
     return TriadPlacement(triad, triad_hexes(triad, (x, y)), (px, py))
 
 
-@dataclass(frozen=True)
-class PathEmbedding:
+@record
+class PathEmbedding(NamedTuple):
     """An embedded progression: one placement per (non-identity) chord.
 
     ``arities[i]`` is the Tonnetz arity of the move from placement i to
@@ -137,7 +138,7 @@ class PathEmbedding:
     placements: tuple[TriadPlacement, ...]
     arities: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if len(self.arities) != max(len(self.placements) - 1, 0):
             raise ValueError("need one arity per consecutive placement pair")
 

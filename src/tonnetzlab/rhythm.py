@@ -16,10 +16,11 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chart import MAX_METER, TimedChord
 from .lattice import _fmt
+from .record import record
 
 WINDOW_MEASURES = 2  # measures per clock window
 
@@ -31,15 +32,15 @@ class RhythmClass(enum.Enum):
     CONTINUATION = "continuation"
 
 
-@dataclass(frozen=True)
-class RhythmClock:
+@record
+class RhythmClock(NamedTuple):
     """Chord onsets of one window: (hour, chord label) pairs, hours ascending."""
 
     onsets: tuple[tuple[int, str], ...]
     cycle: int  # hours on the dial: one per beat of the window
     partial: bool = False  # trailing window extends past the section's end
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         hours = [h for h, _ in self.onsets]
         if any(not 0 <= h < self.cycle for h in hours):
             raise ValueError("onset hour outside the cycle")
@@ -60,18 +61,21 @@ class RhythmClock:
 
 
 def clocks_for(timed: list[TimedChord], meter: int) -> list[RhythmClock]:
-    """Tile a section's timed chords into clocks of two ``meter``-beat measures."""
+    """Tile a section's timed chords into clocks of two ``meter``-beat measures.
+
+    ``timed`` is as ``chart.flatten`` gives it: in onset order, from beat 0,
+    each chord at least one beat long. One pass puts each chord in its window.
+    """
     cycle = meter * WINDOW_MEASURES
     total = max((t.onset + t.duration for t in timed), default=0)
-    clocks = []
-    for start in range(0, total, cycle):
-        onsets = tuple(
-            (t.onset - start, t.symbol.display)
-            for t in timed
-            if start <= t.onset < start + cycle
-        )
-        clocks.append(RhythmClock(onsets, cycle, partial=start + cycle > total))
-    return clocks
+    windows: list[list[tuple[int, str]]] = [[] for _ in range(0, total, cycle)]
+    for t in timed:
+        window, hour = divmod(t.onset, cycle)
+        windows[window].append((hour, t.symbol.display))
+    return [
+        RhythmClock(tuple(onsets), cycle, partial=(i + 1) * cycle > total)
+        for i, onsets in enumerate(windows)
+    ]
 
 
 def classify_rhythm(clock: RhythmClock) -> RhythmClass:
@@ -103,8 +107,8 @@ def reflect_clock(clock: RhythmClock, axis_hour: int) -> RhythmClock:
     return RhythmClock(tuple(mirrored), clock.cycle, clock.partial)
 
 
-@dataclass(frozen=True)
-class Alternation:
+@record
+class Alternation(NamedTuple):
     """A maximal A-B-A-B run in the window sequence (length >= 3)."""
 
     start: int
@@ -112,8 +116,8 @@ class Alternation:
     clocks: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class ReflectionPair:
+@record
+class ReflectionPair(NamedTuple):
     """Two distinct clocks whose hour sets mirror through hour 0 and its opposite."""
 
     first: int
@@ -121,8 +125,8 @@ class ReflectionPair:
     axis_hours: tuple[int, int]  # (0, cycle / 2)
 
 
-@dataclass(frozen=True)
-class SubstructureReport:
+@record
+class SubstructureReport(NamedTuple):
     distinct_clocks: tuple[RhythmClock, ...]
     occurrence_sequence: tuple[int, ...]
     classifications: tuple[RhythmClass, ...]

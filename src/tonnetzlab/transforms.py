@@ -15,7 +15,7 @@ though the seventh of E7 is a d-chord tone.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .harmony import (
     Accidental,
@@ -27,6 +27,7 @@ from .harmony import (
     roman_numeral,
     triad_of,
 )
+from .record import record
 
 
 class NeoRiemannianOp(enum.Enum):
@@ -73,8 +74,8 @@ def tonnetz_distance(a: Triad, b: Triad) -> int:
     return 1 if a.pitch_classes() & b.pitch_classes() else 2
 
 
-@dataclass(frozen=True)
-class TonnetzMove:
+@record
+class TonnetzMove(NamedTuple):
     """A classified transition between two chords' underlying triads."""
 
     source: ChordSymbol
@@ -103,8 +104,8 @@ def classify_move(a: ChordSymbol, b: ChordSymbol) -> TonnetzMove:
     return TonnetzMove(a, b, arity, kind, nr_name)
 
 
-@dataclass(frozen=True)
-class Cadence:
+@record
+class Cadence(NamedTuple):
     """A detected cadence pattern at a position in a progression."""
 
     kind: str  # "plagal_mixture" or "deceptive"
@@ -112,8 +113,8 @@ class Cadence:
     length: int
 
 
-@dataclass(frozen=True)
-class ProgressionAnnotation:
+@record
+class ProgressionAnnotation(NamedTuple):
     chords: tuple[ChordSymbol, ...]
     moves: tuple[TonnetzMove, ...]
     roman: tuple[RomanLabel, ...]

@@ -84,6 +84,18 @@ def test_load_rejects_24_bit(tmp_path):
         load_wav(path)
 
 
+@pytest.mark.parametrize("tag", [0, 2, 3, 6, 65534])
+def test_load_rejects_a_format_tag_other_than_pcm(tmp_path, tag):
+    path = tmp_path / "float.wav"
+    write_wav(path, np.zeros(64), 8000)
+    data = bytearray(path.read_bytes())
+    data[20:22] = tag.to_bytes(2, "little")  # the fmt chunk's format tag; PCM is 1
+    path.write_bytes(bytes(data))
+    message = f"float.wav: only 16-bit PCM WAV is read, got format tag {tag}$"
+    with pytest.raises(TonnetzlabError, match=message):
+        load_wav(path)
+
+
 def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "garbage.wav"
     path.write_bytes(b"RIFF but not really a wav file")

@@ -518,8 +518,10 @@ for argv in (
 ):
     assert main(argv) == 0, argv
 print("numpy" in sys.modules)
+print("dataclasses" in sys.modules, "inspect" in sys.modules)
 assert main(["chord-id", sys.argv[3], "--out", out + "/segments.jsonl"]) == 0
 print("numpy" in sys.modules)
+print("dataclasses" in sys.modules)
 print(*sorted(m for m in sys.modules if m.partition(".")[0] == "tonnetzlab"))
 """
 
@@ -538,13 +540,26 @@ def test_only_chord_id_imports_numpy(lead_chart_path, tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    numpy_before, numpy_after, loaded = done.stdout.splitlines()
+    numpy_before, slow_before, numpy_after, slow_after, loaded = done.stdout.splitlines()
     assert [numpy_before, numpy_after] == ["False", "True"]
+    # dataclasses, and inspect with it, would add ~20 ms to every cold command
+    assert [slow_before, slow_after] == ["False False", "False"]
     # the four commands between them load every module the package ships
     shipped = {"tonnetzlab"} | {
         m.name for m in pkgutil.walk_packages(tonnetzlab.__path__, "tonnetzlab.")
     }
     assert set(loaded.split()) == shipped - {"tonnetzlab.__main__"}
+
+
+def test_no_module_imports_dataclasses():
+    package = Path(tonnetzlab.__file__).resolve().parent
+    imports = re.compile(r"^\s*(from\s+dataclasses\b|import\s.*\bdataclasses\b)", re.M)
+    found = [
+        path.name
+        for path in sorted(package.rglob("*.py"))
+        if imports.search(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
 
 
 # lines valid in every meter, in 4/4, in 3/4 or in 6/8 only, or never valid

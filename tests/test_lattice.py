@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -479,22 +478,19 @@ TRANSPOSED_TONNETZ = {
 def _transposed(doc: ChartDocument, shift: int) -> ChartDocument:
     def move(symbol):
         bass = None if symbol.bass is None else (symbol.bass + shift) % 12
-        return dataclasses.replace(
-            symbol, root=(symbol.root + shift) % 12, bass=bass, text=""
-        )
+        return symbol._replace(root=(symbol.root + shift) % 12, bass=bass, text="")
 
     sections = {
-        name: dataclasses.replace(
-            section,
+        name: section._replace(
             measures=tuple(
-                tuple(dataclasses.replace(e, symbol=move(e.symbol)) for e in measure)
+                tuple(e._replace(symbol=move(e.symbol)) for e in measure)
                 for measure in section.measures
             ),
         )
         for name, section in doc.sections.items()
     }
     key = Key((doc.key.tonic + shift) % 12)
-    return dataclasses.replace(doc, key=key, sections=sections)
+    return doc._replace(key=key, sections=sections)
 
 
 @pytest.mark.parametrize("chart_name", sorted(TRANSPOSED_TONNETZ))
