@@ -2,71 +2,6 @@
 
 Chord-symbol parsing, neo-Riemannian move classification on the common-tone
 triad graph, planar Tonnetz diagrams, harmonic-rhythm clocks, and a
-harmonics-based chord identifier for WAV audio, all wired to a CLI.
+harmonics-based chord identifier for WAV audio, all wired to a CLI. Every name
+is imported from the module that defines it; importing the package loads none.
 """
-
-from .chart import ChartDocument, flatten, parse_chart, progression, serialize_chart
-from .harmony import (
-    ChordSymbol,
-    Key,
-    RomanLabel,
-    Triad,
-    common_tones,
-    parse_chord_symbol,
-    pitch_class_set,
-    roman_numeral,
-    triad_of,
-)
-from .lattice import PathEmbedding, TriadPlacement, embed_path, place_triad, render_tonnetz_svg
-from .rhythm import (
-    RhythmClock,
-    classify_rhythm,
-    clocks_for,
-    detect_substructures,
-    reflect_clock,
-    render_clock_svg,
-)
-from .transforms import (
-    NeoRiemannianOp,
-    TonnetzMove,
-    annotate_progression,
-    apply_nr,
-    classify_move,
-    tonnetz_distance,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "ChartDocument",
-    "ChordSymbol",
-    "Key",
-    "NeoRiemannianOp",
-    "PathEmbedding",
-    "RhythmClock",
-    "RomanLabel",
-    "TonnetzMove",
-    "Triad",
-    "TriadPlacement",
-    "annotate_progression",
-    "apply_nr",
-    "classify_move",
-    "classify_rhythm",
-    "clocks_for",
-    "common_tones",
-    "detect_substructures",
-    "embed_path",
-    "flatten",
-    "parse_chart",
-    "parse_chord_symbol",
-    "pitch_class_set",
-    "place_triad",
-    "progression",
-    "reflect_clock",
-    "render_clock_svg",
-    "render_tonnetz_svg",
-    "roman_numeral",
-    "serialize_chart",
-    "tonnetz_distance",
-    "triad_of",
-]

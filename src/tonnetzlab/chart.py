@@ -34,7 +34,7 @@ from typing import NamedTuple
 from .errors import TonnetzlabError, clip, excerpt
 from .harmony import (
     ChordSymbol,
-    Key,
+    PitchClass,
     parse_chord_symbol,
     parse_pitch_class,
     pitch_class_name,
@@ -70,7 +70,7 @@ class TimedChord(NamedTuple):
 @record
 class ChartDocument(NamedTuple):
     title: str
-    key: Key
+    key: PitchClass  # tonic of the major key
     meter: int  # beats per measure, quarter-note beat
     form: tuple[str, ...]
     sections: dict[str, Section]
@@ -123,7 +123,7 @@ def _parse_event(token: str, line_no: int, column: int, meter: int) -> ChordEven
 def parse_chart(text: str) -> ChartDocument:
     """Parse and fully validate a chart document."""
     title = ""
-    key: Key | None = None
+    key: PitchClass | None = None
     meter: int | None = None
     form: tuple[str, ...] | None = None
 
@@ -163,7 +163,7 @@ def parse_chart(text: str) -> ChartDocument:
             if head == "title":
                 title = value
             elif head == "key":
-                key = Key(parse_pitch_class(value))
+                key = parse_pitch_class(value)
             elif head == "meter":
                 meter = _parse_meter(value, line_no)
             elif head == "form":
@@ -280,7 +280,7 @@ def serialize_chart(doc: ChartDocument) -> str:
     lines = []
     if doc.title:
         lines.append(f"title: {doc.title}")
-    lines.append(f"key: {pitch_class_name(doc.key.tonic)}")
+    lines.append(f"key: {pitch_class_name(doc.key)}")
     lines.append(f"meter: {doc.meter}/4")
     lines.append(f"form: {' '.join(doc.form)}")
     for section in doc.sections.values():

@@ -8,9 +8,10 @@ Commands::
     tonnetzlab chord-id AUDIO.wav [--out segments.jsonl] [--spectrogram out.ppm]
 
 All commands are deterministic: identical inputs and flags produce
-byte-identical outputs. Exit codes: 0 success, 2 input or usage errors. Every
-input error is a ``tonnetzlab.errors.TonnetzlabError`` or an ``OSError``;
-``main`` reports it, and the parser a usage error, as the one stderr line of
+byte-identical outputs, written as UTF-8 to stdout too, whatever the locale's
+encoding. Exit codes: 0 success, 2 input or usage errors. Every input error is
+a ``tonnetzlab.errors.TonnetzlabError`` or an ``OSError``; ``main`` reports it,
+a ``MemoryError`` too, and the parser a usage error, as the one stderr line of
 ``errors.error_line``, which escapes every unprintable character. A value
 that starts with ``-`` is given as ``--section=NAME`` or
 ``--pre-emphasis=-X``, as argparse reads a separate one as an option.
@@ -31,7 +32,7 @@ from typing import TYPE_CHECKING, NoReturn
 
 from .chart import ChartDocument, Section, flatten, parse_chart, progression
 from .errors import TonnetzlabError, clip, error_line
-from .harmony import Key, parse_pitch_class, pitch_class_name
+from .harmony import PitchClass, parse_pitch_class, pitch_class_name
 from .lattice import embed_path, render_tonnetz_svg
 from .rhythm import (
     SubstructureReport,
@@ -42,7 +43,9 @@ from .rhythm import (
 from .transforms import ProgressionAnnotation, annotate_progression
 
 if TYPE_CHECKING:
-    from .chroma import AudioBuffer, ChordEstimate, Spectrogram
+    from .chroma.identify import ChordEstimate
+    from .chroma.spectral import Spectrogram
+    from .chroma.wavio import AudioBuffer
 
 REPORT_VERSION = 1
 
@@ -53,8 +56,8 @@ FLAT_SEVEN_NOTE = (
 
 
 def load_wav(path: str | Path) -> AudioBuffer:
-    """``tonnetzlab.chroma.load_wav``, imported on the first call."""
-    from .chroma import load_wav
+    """``tonnetzlab.chroma.wavio.load_wav``, imported on the first call."""
+    from .chroma.wavio import load_wav
 
     return load_wav(path)
 
@@ -62,8 +65,8 @@ def load_wav(path: str | Path) -> AudioBuffer:
 def identify(
     buffer: AudioBuffer, **kwargs
 ) -> tuple[list[ChordEstimate], Spectrogram]:
-    """``tonnetzlab.chroma.identify``, imported on the first call."""
-    from .chroma import identify
+    """``tonnetzlab.chroma.identify.identify``, imported on the first call."""
+    from .chroma.identify import identify
 
     return identify(buffer, **kwargs)
 
@@ -76,7 +79,7 @@ def _moves_json(annotation: ProgressionAnnotation) -> list[dict]:
                 "from": move.source.display,
                 "to": move.target.display,
                 "arity": move.arity,
-                "kind": move.kind.value,
+                "kind": move.kind,
                 "nr": move.nr_name.value if move.nr_name else None,
             }
         )
@@ -105,7 +108,7 @@ def _rhythm_json(report: SubstructureReport) -> dict:
     }
 
 
-def _section_json(section: Section, key: Key, meter: int) -> dict:
+def _section_json(section: Section, key: PitchClass, meter: int) -> dict:
     chords = progression(section)
     entry: dict = {
         "name": section.name,
@@ -129,13 +132,13 @@ def _section_json(section: Section, key: Key, meter: int) -> dict:
     return entry
 
 
-def build_report(doc: ChartDocument, key: Key | None = None) -> dict:
+def build_report(doc: ChartDocument, key: PitchClass | None = None) -> dict:
     """Analysis report covering each distinct section named in the form."""
-    key = key or doc.key
+    key = doc.key if key is None else key  # C is pitch class 0
     return {
         "version": REPORT_VERSION,
         "title": doc.title,
-        "key": pitch_class_name(key.tonic),
+        "key": pitch_class_name(key),
         "meter": doc.meter,
         "form": list(doc.form),
         "sections": [
@@ -165,15 +168,18 @@ def _get_section(doc: ChartDocument, name: str) -> Section:
 
 
 def _write_text(path: str | None, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path``, or to stdout whatever its encoding."""
+    data = text.encode("utf-8")
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        Path(path).write_bytes(data)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     doc = _read_chart(args.chart)
-    key = Key(parse_pitch_class(args.key)) if args.key is not None else None
+    key = parse_pitch_class(args.key) if args.key is not None else None
     report = build_report(doc, key)
     _write_text(args.out, json.dumps(report, indent=2, ensure_ascii=False) + "\n")
     return 0
@@ -182,9 +188,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_render_tonnetz(args: argparse.Namespace) -> int:
     doc = _read_chart(args.chart)
     section = _get_section(doc, args.section)
-    annotation = annotate_progression(progression(section), doc.key)
-    anchor = doc.key.tonic
-    svg = render_tonnetz_svg(embed_path(annotation, anchor), anchor)
+    svg = render_tonnetz_svg(embed_path(progression(section), doc.key), doc.key)
     _write_text(args.out, svg)
     return 0
 
@@ -203,7 +207,7 @@ def _cmd_render_clocks(args: argparse.Namespace) -> int:
 
 
 def _cmd_chord_id(args: argparse.Namespace) -> int:
-    from .chroma import render_spectrogram_ppm
+    from .chroma.spectral import render_spectrogram_ppm
 
     buffer = load_wav(args.audio)
     segments, spec = identify(buffer, pre_emphasis=args.pre_emphasis)
@@ -288,6 +292,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (TonnetzlabError, OSError) as exc:
         sys.stderr.write(error_line(exc))
+        return 2
+    except MemoryError as exc:
+        cause = f": {exc}" if str(exc) else ""
+        sys.stderr.write(error_line(f"out of memory{cause}"))
         return 2
 
 

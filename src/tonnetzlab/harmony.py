@@ -1,6 +1,7 @@
 """Pitch-class arithmetic, chord-symbol parsing, and Roman-numeral labeling.
 
 Pitch classes are integers 0-11 with C = 0; all interval arithmetic is mod 12.
+Only major keys are supported, so a key is its tonic pitch class.
 Chord symbols follow lead-sheet conventions: an uppercase root letter means a
 major triad, a lowercase one a minor triad ("m" suffix is also accepted), an
 optional 6 or 7 adds an embellishment tone, and "/X" names a bass note that
@@ -123,13 +124,6 @@ class ChordSymbol(NamedTuple):
 
 
 @record
-class Key(NamedTuple):
-    """A major key; only major keys are supported."""
-
-    tonic: PitchClass
-
-
-@record
 class RomanLabel(NamedTuple):
     """A Roman-numeral chord label relative to a major key."""
 
@@ -154,9 +148,6 @@ class RomanLabel(NamedTuple):
         if self.secondary_of is not None:
             out += "/" + self.secondary_of.text
         return out
-
-    def __str__(self) -> str:
-        return self.text
 
 
 def parse_chord_symbol(token: str) -> ChordSymbol:
@@ -232,8 +223,8 @@ def common_tones(a: ChordSymbol, b: ChordSymbol) -> frozenset[PitchClass]:
     return pitch_class_set(a) & pitch_class_set(b)
 
 
-def roman_numeral(symbol: ChordSymbol, key: Key) -> RomanLabel:
-    """Roman-numeral label for a chord in a major key.
+def roman_numeral(symbol: ChordSymbol, key: PitchClass) -> RomanLabel:
+    """Roman-numeral label for a chord in the major key with tonic ``key``.
 
     Diatonic roots take the plain degree. A non-diatonic root one semitone
     below a diatonic degree is spelled flat (G in A major is ♭VII); the sharp
@@ -241,7 +232,7 @@ def roman_numeral(symbol: ChordSymbol, key: Key) -> RomanLabel:
     with a seventh whose plain degree would be I7 is relabeled V7/IV, the
     secondary dominant of the subdominant.
     """
-    interval = (symbol.root - key.tonic) % 12
+    interval = (symbol.root - key) % 12
     if interval in MAJOR_SCALE_DEGREES:
         degree, accidental = MAJOR_SCALE_DEGREES[interval], Accidental.NATURAL
     elif (interval + 1) % 12 in MAJOR_SCALE_DEGREES:

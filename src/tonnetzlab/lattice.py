@@ -38,12 +38,12 @@ the two extreme centers, as fl(c - r) and fl(c + r) grow with c.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import TonnetzlabError
-from .harmony import PitchClass, Quality, Triad, pitch_class_name, triad_of
+from .harmony import ChordSymbol, PitchClass, Quality, Triad, pitch_class_name, triad_of
 from .record import record
-from .transforms import ProgressionAnnotation, tonnetz_distance
+from .transforms import tonnetz_distance
 
 LatticeCoord = tuple[int, int]
 Point = tuple[float, float]
@@ -80,10 +80,6 @@ class TriadPlacement(NamedTuple):
     triad: Triad
     hexes: tuple[LatticeCoord, ...]
     point: Point
-
-    @property
-    def root_coord(self) -> LatticeCoord:
-        return self.hexes[0]
 
 
 def place_triad(
@@ -127,33 +123,17 @@ def place_triad(
     return TriadPlacement(triad, triad_hexes(triad, (x, y)), (px, py))
 
 
-@record
-class PathEmbedding(NamedTuple):
-    """An embedded progression: one placement per (non-identity) chord.
-
-    ``arities[i]`` is the Tonnetz arity of the move from placement i to
-    placement i+1, so arrows can be drawn single or double.
-    """
-
-    placements: tuple[TriadPlacement, ...]
-    arities: tuple[int, ...]
-
-    def _check(self) -> None:
-        if len(self.arities) != max(len(self.placements) - 1, 0):
-            raise ValueError("need one arity per consecutive placement pair")
-
-
 def embed_path(
-    annotation: ProgressionAnnotation, anchor: PitchClass = 0
-) -> PathEmbedding:
-    """Greedy nearest-instance embedding of an annotated progression.
+    chords: Iterable[ChordSymbol], anchor: PitchClass = 0
+) -> tuple[TriadPlacement, ...]:
+    """Greedy nearest-instance embedding of a chord sequence.
 
     Identity transitions (embellishment changes on one triad) collapse to a
     single placement. Each successive triad takes its instance nearest the
     previous point; the chaining is greedy, not globally optimal.
     """
     triads: list[Triad] = []
-    for symbol in annotation.chords:
+    for symbol in chords:
         t = triad_of(symbol)
         if not triads or triads[-1] != t:
             triads.append(t)
@@ -163,11 +143,7 @@ def embed_path(
     placements = [place_triad(triads[0], None, anchor)]
     for t in triads[1:]:
         placements.append(place_triad(t, placements[-1].point, anchor))
-    arities = tuple(
-        tonnetz_distance(a.triad, b.triad)
-        for a, b in zip(placements, placements[1:])
-    )
-    return PathEmbedding(tuple(placements), arities)
+    return tuple(placements)
 
 
 # No element has the note-marker class; the rule stays so that every SVG keeps
@@ -232,18 +208,21 @@ def _arrow(start: Point, end: Point, scale: float, double: bool) -> str:
     return f'<g class="{cls}">' + "".join(lines) + head_path + "</g>"
 
 
-def render_tonnetz_svg(embedding: PathEmbedding, anchor: PitchClass = 0) -> str:
+def render_tonnetz_svg(
+    placements: tuple[TriadPlacement, ...], anchor: PitchClass = 0
+) -> str:
     """Render an embedded path as a standalone SVG 1.1 document.
 
     The honeycomb covers the path's bounding box plus a one-hex margin; red
-    arrows join consecutive triad points (double moves get a doubled shaft)
-    and the start and end chords are circled. Output is deterministic.
+    arrows join consecutive triad points (a move between triads two apart in
+    the common-tone graph gets a doubled shaft) and the start and end chords
+    are circled. Output is deterministic.
     """
-    if not embedding.placements:
+    if not placements:
         raise TonnetzlabError("cannot render an empty embedding")
     scale = HEX_SIZE
 
-    used = {h for p in embedding.placements for h in p.hexes}
+    used = {h for p in placements for h in p.hexes}
     x_lo = min(h[0] for h in used) - MARGIN
     x_hi = max(h[0] for h in used) + MARGIN
     y_lo = min(h[1] for h in used) - MARGIN
@@ -273,15 +252,13 @@ def render_tonnetz_svg(embedding: PathEmbedding, anchor: PitchClass = 0) -> str:
             )
 
     arrow_parts = [
-        _arrow(a.point, b.point, scale, arity == 2)
-        for a, b, arity in zip(
-            embedding.placements, embedding.placements[1:], embedding.arities
-        )
+        _arrow(a.point, b.point, scale, tonnetz_distance(a.triad, b.triad) == 2)
+        for a, b in zip(placements, placements[1:])
     ]
 
-    circle_points = [embedding.placements[0].point]
-    if embedding.placements[-1].point != circle_points[0]:
-        circle_points.append(embedding.placements[-1].point)
+    circle_points = [placements[0].point]
+    if placements[-1].point != circle_points[0]:
+        circle_points.append(placements[-1].point)
     circle_parts = []
     for p in circle_points:
         cx, cy = _svg_point(p, scale)

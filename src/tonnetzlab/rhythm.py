@@ -52,10 +52,6 @@ class RhythmClock(NamedTuple):
         return tuple(h for h, _ in self.onsets)
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for _, label in self.onsets)
-
-    @property
     def is_continuation(self) -> bool:
         return not self.onsets
 
@@ -129,9 +125,12 @@ class ReflectionPair(NamedTuple):
 class SubstructureReport(NamedTuple):
     distinct_clocks: tuple[RhythmClock, ...]
     occurrence_sequence: tuple[int, ...]
-    classifications: tuple[RhythmClass, ...]
     alternations: tuple[Alternation, ...]
     reflections: tuple[ReflectionPair, ...]
+
+    @property
+    def classifications(self) -> tuple[RhythmClass, ...]:
+        return tuple(classify_rhythm(c) for c in self.distinct_clocks)
 
 
 def _alternation_runs(seq: tuple[int, ...]) -> tuple[Alternation, ...]:
@@ -171,7 +170,6 @@ def detect_substructures(clocks: list[RhythmClock]) -> SubstructureReport:
     return SubstructureReport(
         tuple(distinct),
         tuple(occurrence),
-        tuple(classify_rhythm(c) for c in distinct),
         _alternation_runs(tuple(occurrence)),
         tuple(reflections),
     )

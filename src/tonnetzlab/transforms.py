@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .harmony import (
     Accidental,
     ChordSymbol,
-    Key,
+    PitchClass,
     Quality,
     RomanLabel,
     Triad,
@@ -35,12 +35,6 @@ class NeoRiemannianOp(enum.Enum):
     L = "L"  # leittonwechsel
     R = "R"  # relative
     N = "N"  # nebenverwandt: major key to its minor subdominant and back
-
-
-class MoveKind(enum.Enum):
-    SINGLE = "single"
-    DOUBLE = "double"
-    IDENTITY = "identity"
 
 
 # root offset applied by each operation, keyed by (op, source quality)
@@ -74,6 +68,9 @@ def tonnetz_distance(a: Triad, b: Triad) -> int:
     return 1 if a.pitch_classes() & b.pitch_classes() else 2
 
 
+_KIND_NAMES = ("identity", "single", "double")  # indexed by arity
+
+
 @record
 class TonnetzMove(NamedTuple):
     """A classified transition between two chords' underlying triads."""
@@ -81,8 +78,12 @@ class TonnetzMove(NamedTuple):
     source: ChordSymbol
     target: ChordSymbol
     arity: int
-    kind: MoveKind
     nr_name: NeoRiemannianOp | None = None
+
+    @property
+    def kind(self) -> str:
+        """The arity's name: ``identity``, ``single`` or ``double``."""
+        return _KIND_NAMES[self.arity]
 
 
 def classify_move(a: ChordSymbol, b: ChordSymbol) -> TonnetzMove:
@@ -92,16 +93,13 @@ def classify_move(a: ChordSymbol, b: ChordSymbol) -> TonnetzMove:
     {P, L, R, N} is attached when the triads are related by that involution.
     """
     ta, tb = triad_of(a), triad_of(b)
-    if ta == tb:
-        return TonnetzMove(a, b, 0, MoveKind.IDENTITY)
     arity = tonnetz_distance(ta, tb)
-    nr_name = None
+    nr_name = None  # every operation changes the quality, so none names arity 0
     for op in NeoRiemannianOp:
         if apply_nr(op, ta) == tb:
             nr_name = op
             break
-    kind = MoveKind.SINGLE if arity == 1 else MoveKind.DOUBLE
-    return TonnetzMove(a, b, arity, kind, nr_name)
+    return TonnetzMove(a, b, arity, nr_name)
 
 
 @record
@@ -115,7 +113,6 @@ class Cadence(NamedTuple):
 
 @record
 class ProgressionAnnotation(NamedTuple):
-    chords: tuple[ChordSymbol, ...]
     moves: tuple[TonnetzMove, ...]
     roman: tuple[RomanLabel, ...]
     cadences: tuple[Cadence, ...]
@@ -153,10 +150,9 @@ def detect_cadences(roman: tuple[RomanLabel, ...]) -> tuple[Cadence, ...]:
 
 
 def annotate_progression(
-    chords: list[ChordSymbol] | tuple[ChordSymbol, ...], key: Key
+    chords: list[ChordSymbol] | tuple[ChordSymbol, ...], key: PitchClass
 ) -> ProgressionAnnotation:
     """Move classification, Roman labels, and cadences (no moves below two chords)."""
-    chords = tuple(chords)
     moves = tuple(classify_move(a, b) for a, b in zip(chords, chords[1:]))
     roman = tuple(roman_numeral(c, key) for c in chords)
-    return ProgressionAnnotation(chords, moves, roman, detect_cadences(roman))
+    return ProgressionAnnotation(moves, roman, detect_cadences(roman))

@@ -17,13 +17,14 @@ from tonnetzlab.lattice import (
     _STYLE,
     HEX_SIZE,
     MARGIN,
-    PathEmbedding,
+    TriadPlacement,
     _arrow,
     _svg_point,
     hex_center,
     node_pitch_class,
 )
 from tonnetzlab.rhythm import _CLOCK_STYLE, RhythmClock, _escape, _hour_xy
+from tonnetzlab.transforms import tonnetz_distance
 
 
 def fmt_reference(value: float) -> str:
@@ -43,12 +44,14 @@ def _hexagon_path(center, scale: float) -> str:
     )
 
 
-def render_tonnetz_svg_reference(embedding: PathEmbedding, anchor: int = 0) -> str:
-    if not embedding.placements:
+def render_tonnetz_svg_reference(
+    placements: tuple[TriadPlacement, ...], anchor: int = 0
+) -> str:
+    if not placements:
         raise TonnetzlabError("cannot render an empty embedding")
     scale = HEX_SIZE
 
-    used = {h for p in embedding.placements for h in p.hexes}
+    used = {h for p in placements for h in p.hexes}
     xs = [h[0] for h in used]
     ys = [h[1] for h in used]
     grid = [
@@ -73,15 +76,13 @@ def render_tonnetz_svg_reference(embedding: PathEmbedding, anchor: int = 0) -> s
 
     # the arrows format a handful of numbers each and are drawn by the library
     arrow_parts = [
-        _arrow(a.point, b.point, scale, arity == 2)
-        for a, b, arity in zip(
-            embedding.placements, embedding.placements[1:], embedding.arities
-        )
+        _arrow(a.point, b.point, scale, tonnetz_distance(a.triad, b.triad) == 2)
+        for a, b in zip(placements, placements[1:])
     ]
 
-    circle_points = [embedding.placements[0].point]
-    if embedding.placements[-1].point != circle_points[0]:
-        circle_points.append(embedding.placements[-1].point)
+    circle_points = [placements[0].point]
+    if placements[-1].point != circle_points[0]:
+        circle_points.append(placements[-1].point)
     circle_parts = []
     for p in circle_points:
         cx, cy = _svg_point(p, scale)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tonnetzlab.chroma import AudioBuffer
+from tonnetzlab.chroma.wavio import AudioBuffer
 from tonnetzlab.harmony import ChordSymbol, Embellishment, Quality
 
 

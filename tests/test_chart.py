@@ -19,7 +19,7 @@ from tonnetzlab.chart import (
 )
 from tonnetzlab.cli import main
 from tonnetzlab.errors import TonnetzlabError
-from tonnetzlab.harmony import ChordSymbol, Embellishment, Key, Quality, pitch_class_set
+from tonnetzlab.harmony import ChordSymbol, Embellishment, Quality, pitch_class_set
 from tonnetzlab.rhythm import clocks_for
 
 MINIMAL_HEADER = "key: A\nmeter: 4/4\nform: Main\n"
@@ -39,7 +39,7 @@ def test_form_parses_in_order(lead_chart):
         "Bridge",
         "Coda",
     )
-    assert lead_chart.key.tonic == 9
+    assert lead_chart.key == 9
     assert lead_chart.meter == 4
 
 
@@ -336,7 +336,7 @@ def _documents(draw) -> ChartDocument:
     names = draw(st.lists(_NAMES, min_size=1, max_size=3, unique=True))
     sections = {name: draw(_sections(name, meter)) for name in names}
     form = tuple(draw(st.lists(st.sampled_from(names), max_size=5)))
-    key = Key(draw(st.integers(0, 11)))
+    key = draw(st.integers(0, 11))
     return ChartDocument(draw(_TITLES), key, meter, form, sections)
 
 
@@ -378,7 +378,7 @@ _DASH_DASH = Section("--", ((ChordEvent(ChordSymbol(9, Quality.MAJOR), 4),),))
 
 @settings(max_examples=25, deadline=None)
 @given(doc=_documents())
-@example(doc=ChartDocument("", Key(9), 4, ("--",), {"--": _DASH_DASH}))
+@example(doc=ChartDocument("", 9, 4, ("--",), {"--": _DASH_DASH}))
 def test_chart_commands_exit_0_on_generated_charts(doc):
     try:
         text = serialize_chart(doc)
@@ -405,6 +405,6 @@ def test_chart_commands_exit_0_on_generated_charts(doc):
      ("", "#Verse"), ("", "Ver se"), ("", "Verse\n")],
 )
 def test_serialize_refuses_what_would_read_back_differently(title, name):
-    doc = ChartDocument(title, Key(9), 4, (name,), {name: Section(name, ())})
+    doc = ChartDocument(title, 9, 4, (name,), {name: Section(name, ())})
     with pytest.raises(TonnetzlabError, match=" cannot be written in a chart$"):
         serialize_chart(doc)

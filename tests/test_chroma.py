@@ -17,17 +17,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from synth import write_wav
 
 import tonnetzlab
-from tonnetzlab.chroma import (
-    AudioBuffer,
-    build_note_dictionary,
-    chroma_fold,
-    identify,
-    load_wav,
-    log_freq_map,
-    match_chords,
-    render_spectrogram_ppm,
-    stft,
-)
+from tonnetzlab.chroma.dictionary import build_note_dictionary
+from tonnetzlab.chroma.identify import chroma_fold, identify, match_chords
 from tonnetzlab.chroma.nnls import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -41,7 +32,11 @@ from tonnetzlab.chroma.spectral import (
     LOW_NOTE,
     WINDOW_SIZE,
     Spectrogram,
+    log_freq_map,
+    render_spectrogram_ppm,
+    stft,
 )
+from tonnetzlab.chroma.wavio import AudioBuffer, load_wav
 from tonnetzlab.errors import TonnetzlabError
 from tonnetzlab.harmony import parse_chord_symbol
 

@@ -94,11 +94,12 @@ def test_analyze_recorded_verse_double_moves(recorded_chart_path, tmp_path):
 
 def test_analyze_key_override(lead_chart_path, tmp_path):
     out = tmp_path / "report.json"
-    assert _run("analyze", lead_chart_path, "--key", "D", "--out", out) == 0
-    report = json.loads(out.read_text(encoding="utf-8"))
-    assert report["key"] == "D"
-    # A is now the dominant, not the tonic
-    assert report["sections"][0]["roman"][0] == "V"
+    # A is the dominant of D; C is pitch class 0, which must still override A
+    for key, first in (("D", "V"), ("C", "VI")):
+        assert _run("analyze", lead_chart_path, "--key", key, "--out", out) == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["key"] == key
+        assert report["sections"][0]["roman"][0] == first
 
 
 def test_analyze_an_empty_key_is_an_error(lead_chart_path, capsys):
@@ -488,6 +489,25 @@ def test_chord_id_analyses_a_data_chunk_cut_mid_frame(tmp_path, capsys, channels
     assert capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (MemoryError(), "out of memory"),
+        (MemoryError("Unable to allocate 8.00 GiB"), "out of memory: Unable to allocate 8.00 GiB"),
+    ],
+    ids=["bare", "with-message"],
+)
+def test_chord_id_out_of_memory_is_a_one_line_error(tmp_path, capsys, monkeypatch, error, line):
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "identify", exhausted)
+    wav = tmp_path / "a.wav"
+    wav.write_bytes(_wav_bytes())
+    assert _run("chord-id", wav) == 2
+    assert _assert_one_line_error(capsys) == f"tonnetzlab: error: {line}\n"
+
+
 def test_cli_calls_the_audio_stages_by_their_module_names(tmp_path, monkeypatch):
     # the benchmark's tracing swaps spans into exactly these two names
     calls = []
@@ -526,18 +546,21 @@ print(*sorted(m for m in sys.modules if m.partition(".")[0] == "tonnetzlab"))
 """
 
 
+def _child_env(**extra: str) -> dict:
+    """The environment of a child interpreter that imports this package."""
+    src = str(Path(tonnetzlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def test_only_chord_id_imports_numpy(lead_chart_path, tmp_path):
     # a fresh interpreter: this one shares sys.modules with every other test
     wav = tmp_path / "a.wav"
     buf = synth.chord_sequence([parse_chord_symbol("A")], 1.0)
     write_wav(wav, buf.samples, buf.sample_rate)
-    src = str(Path(tonnetzlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
     done = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, str(lead_chart_path), str(tmp_path), str(wav)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_child_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     numpy_before, slow_before, numpy_after, slow_after, loaded = done.stdout.splitlines()
@@ -549,6 +572,48 @@ def test_only_chord_id_imports_numpy(lead_chart_path, tmp_path):
         m.name for m in pkgutil.walk_packages(tonnetzlab.__path__, "tonnetzlab.")
     }
     assert set(loaded.split()) == shipped - {"tonnetzlab.__main__"}
+
+
+_PACKAGE_PROBE = """
+import sys
+import tonnetzlab
+print(*sorted(m for m in sys.modules if m.startswith("tonnetzlab.")))
+import tonnetzlab.chroma
+print(*sorted(m for m in sys.modules if m.startswith("tonnetzlab.")))
+"""
+
+
+def test_packages_load_no_module_they_do_not_need():
+    done = subprocess.run(
+        [sys.executable, "-c", _PACKAGE_PROBE],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    package, chroma = done.stdout.split("\n")[:2]
+    assert package == ""
+    chart_side = {"chart", "lattice", "rhythm", "transforms", "cli"}
+    assert not {f"tonnetzlab.{name}" for name in chart_side} & set(chroma.split())
+    assert "tonnetzlab.chroma.dictionary" in chroma.split()
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+@pytest.mark.parametrize(
+    "command, flags",
+    [("analyze", []), ("render-tonnetz", ["--section", "Bridge"])],
+    ids=["analyze", "render-tonnetz"],
+)
+def test_stdout_is_utf8_whatever_the_locale(lead_chart_path, tmp_path, encoding, command, flags):
+    # the lead sheet's report holds "♭VII", which neither encoding can write
+    out = tmp_path / "out"
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "tonnetzlab", command, str(lead_chart_path), *flags, *to],
+            env=_child_env(PYTHONIOENCODING=encoding), capture_output=True, timeout=120,
+        )
+        for to in (["--out", str(out)], [])
+    ]
+    assert [(run.returncode, run.stderr) for run in runs] == [(0, b"")] * 2
+    assert runs[1].stdout == out.read_bytes()
 
 
 def test_no_module_imports_dataclasses():

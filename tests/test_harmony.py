@@ -8,7 +8,6 @@ from tonnetzlab.errors import TonnetzlabError
 from tonnetzlab.harmony import (
     ChordSymbol,
     Embellishment,
-    Key,
     Quality,
     Triad,
     common_tones,
@@ -147,7 +146,7 @@ def test_parse_of_canonical_render_is_identity():
 
 
 def test_roman_numeral_examples_in_a_major():
-    key = Key(A)
+    key = A
     assert roman_numeral(parse_chord_symbol("A7"), key).text == "V7/IV"
     assert roman_numeral(parse_chord_symbol("d"), key).text == "iv"
     assert roman_numeral(parse_chord_symbol("G"), key).text == "♭VII"
@@ -156,7 +155,7 @@ def test_roman_numeral_examples_in_a_major():
 
 
 def test_roman_numeral_secondary_structure():
-    label = roman_numeral(parse_chord_symbol("A7"), Key(A))
+    label = roman_numeral(parse_chord_symbol("A7"), A)
     assert label.degree == 5
     assert label.secondary_of is not None
     assert label.secondary_of.degree == 4
@@ -164,12 +163,12 @@ def test_roman_numeral_secondary_structure():
 
 def test_tonic_is_roman_one_in_every_key():
     for tonic in range(12):
-        label = roman_numeral(ChordSymbol(tonic, Quality.MAJOR), Key(tonic))
+        label = roman_numeral(ChordSymbol(tonic, Quality.MAJOR), tonic)
         assert label.text == "I"
 
 
 def test_every_pitch_class_gets_a_label():
-    key = Key(A)
+    key = A
     for root in range(12):
         for quality in Quality:
             label = roman_numeral(ChordSymbol(root, quality), key)
@@ -177,6 +176,6 @@ def test_every_pitch_class_gets_a_label():
 
 
 def test_non_diatonic_roots_get_flat_spelling_in_major():
-    key = Key(0)  # C major
+    key = 0  # C major
     for root, expect in ((1, "♭II"), (3, "♭III"), (10, "♭VII")):
         assert roman_numeral(ChordSymbol(root, Quality.MAJOR), key).text == expect

@@ -16,7 +16,8 @@ from tonnetzlab.cli import main
 from tonnetzlab.errors import TonnetzlabError
 from tonnetzlab.harmony import (
     ALL_TRIADS,
-    Key,
+    ChordSymbol,
+    Embellishment,
     Quality,
     Triad,
     parse_chord_symbol,
@@ -24,7 +25,6 @@ from tonnetzlab.harmony import (
 )
 from tonnetzlab.lattice import (
     _SQRT3_2,
-    PathEmbedding,
     TriadPlacement,
     _fmt,
     embed_path,
@@ -34,13 +34,9 @@ from tonnetzlab.lattice import (
     render_tonnetz_svg,
     triad_hexes,
 )
-from tonnetzlab.transforms import ProgressionAnnotation, annotate_progression
+from tonnetzlab.transforms import classify_move, tonnetz_distance
 
 A, CS, D, E, FS = 9, 1, 2, 4, 6
-
-
-def _single_chord_annotation(token: str) -> ProgressionAnnotation:
-    return ProgressionAnnotation((parse_chord_symbol(token),), (), (), ())
 
 
 def test_anchor_sits_at_origin():
@@ -101,7 +97,7 @@ def test_placement_equivariant_under_lattice_period():
         moved = place_triad(
             triad, near=(0.7 + period[0], 0.4 + period[1]), anchor=A
         )
-        assert moved.root_coord == (base.root_coord[0] + 12, base.root_coord[1])
+        assert moved.hexes[0] == (base.hexes[0][0] + 12, base.hexes[0][1])
         assert moved.point[0] == pytest.approx(base.point[0] + period[0])
         assert moved.point[1] == pytest.approx(base.point[1] + period[1])
 
@@ -118,12 +114,8 @@ def test_common_tone_neighbors_share_a_hexagon():
 def test_verse_path_circles_the_anchor_hexagon(lead_chart):
     from tonnetzlab.chart import progression
 
-    chords = progression(lead_chart.sections["Verse"])
-    annotation = annotate_progression(chords, Key(A))
-    embedding = embed_path(annotation, anchor=A)
-    touching = {
-        p.triad for p in embedding.placements if (0, 0) in p.hexes
-    }
+    placements = embed_path(progression(lead_chart.sections["Verse"]), anchor=A)
+    touching = {p.triad for p in placements if (0, 0) in p.hexes}
     expected = {
         Triad(A, Quality.MAJOR),
         Triad(FS, Quality.MINOR),
@@ -136,27 +128,39 @@ def test_verse_path_circles_the_anchor_hexagon(lead_chart):
 def test_coda_embedding_reuses_placements(lead_chart):
     from tonnetzlab.chart import progression
 
-    chords = progression(lead_chart.sections["Coda"])
-    annotation = annotate_progression(chords, Key(A))
-    embedding = embed_path(annotation, anchor=A)
-    assert len(embedding.placements) == 6
+    placements = embed_path(progression(lead_chart.sections["Coda"]), anchor=A)
+    assert len(placements) == 6
     # greedy chaining brings A, E and d back to the same instances
-    assert len({p.point for p in embedding.placements}) == 3
-    assert embedding.placements[0].point == embedding.placements[-1].point
+    assert len({p.point for p in placements}) == 3
+    assert placements[0].point == placements[-1].point
 
 
 def test_embedding_collapses_identity_transitions():
     chords = [parse_chord_symbol(t) for t in ["A", "A7", "D"]]
-    annotation = annotate_progression(chords, Key(A))
-    embedding = embed_path(annotation, anchor=A)
-    assert [p.triad.name for p in embedding.placements] == ["A", "D"]
-    assert embedding.arities == (1,)
+    placements = embed_path(chords, anchor=A)
+    assert [p.triad.name for p in placements] == ["A", "D"]
+    assert tonnetz_distance(placements[0].triad, placements[1].triad) == 1
 
 
 def test_single_chord_embedding():
-    embedding = embed_path(_single_chord_annotation("A"), anchor=A)
-    assert len(embedding.placements) == 1
-    assert embedding.arities == ()
+    assert len(embed_path([parse_chord_symbol("A")], anchor=A)) == 1
+
+
+_CHORDS = st.builds(
+    ChordSymbol, st.integers(0, 11), st.sampled_from(Quality), st.sampled_from(Embellishment)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_CHORDS, min_size=1, max_size=30), st.integers(0, 11))
+def test_embedding_places_one_triad_per_move_of_nonzero_arity(chords, anchor):
+    placements = embed_path(chords, anchor)
+    arities = [classify_move(a, b).arity for a, b in zip(chords, chords[1:])]
+    steps = [a for a in arities if a]
+    assert len(placements) == 1 + len(steps)
+    assert [
+        tonnetz_distance(p.triad, q.triad) for p, q in zip(placements, placements[1:])
+    ] == steps
 
 
 def _arrow_groups(svg: str) -> list[ET.Element]:
@@ -172,8 +176,7 @@ def test_render_verse_arrow_count(lead_chart):
     from tonnetzlab.chart import progression
 
     chords = progression(lead_chart.sections["Verse"])
-    annotation = annotate_progression(chords, Key(A))
-    svg = render_tonnetz_svg(embed_path(annotation, anchor=A), anchor=A)
+    svg = render_tonnetz_svg(embed_path(chords, anchor=A), anchor=A)
     assert len(_arrow_groups(svg)) == len(chords) - 1 == 14
 
 
@@ -181,8 +184,7 @@ def test_render_double_moves_get_double_class(lead_chart):
     from tonnetzlab.chart import progression
 
     chords = progression(lead_chart.sections["Coda"])
-    annotation = annotate_progression(chords, Key(A))
-    svg = render_tonnetz_svg(embed_path(annotation, anchor=A), anchor=A)
+    svg = render_tonnetz_svg(embed_path(chords, anchor=A), anchor=A)
     doubles = [
         el
         for el in _arrow_groups(svg)
@@ -192,7 +194,7 @@ def test_render_double_moves_get_double_class(lead_chart):
 
 
 def test_render_single_placement():
-    svg = render_tonnetz_svg(embed_path(_single_chord_annotation("A"), anchor=A))
+    svg = render_tonnetz_svg(embed_path([parse_chord_symbol("A")], anchor=A))
     root = ET.fromstring(svg)
     assert len(_arrow_groups(svg)) == 0
     hexes = [el for el in root.iter() if el.get("class") == "pc-hex"]
@@ -202,34 +204,25 @@ def test_render_single_placement():
 def test_render_is_well_formed_and_deterministic(lead_chart):
     from tonnetzlab.chart import progression
 
-    chords = progression(lead_chart.sections["Bridge"])
-    annotation = annotate_progression(chords, Key(A))
-    embedding = embed_path(annotation, anchor=A)
-    first = render_tonnetz_svg(embedding, anchor=A)
-    second = render_tonnetz_svg(embedding, anchor=A)
+    placements = embed_path(progression(lead_chart.sections["Bridge"]), anchor=A)
+    first = render_tonnetz_svg(placements, anchor=A)
+    second = render_tonnetz_svg(placements, anchor=A)
     assert first == second
     ET.fromstring(first)  # raises on malformed XML
 
 
-def _progression_annotation(triads) -> ProgressionAnnotation:
-    return ProgressionAnnotation(
-        tuple(parse_chord_symbol(t.name) for t in triads), (), (), ()
-    )
-
-
-def _translated(embedding: PathEmbedding, shift: tuple[int, int]) -> PathEmbedding:
+def _translated(
+    placements: tuple[TriadPlacement, ...], shift: tuple[int, int]
+) -> tuple[TriadPlacement, ...]:
     """The same path drawn ``shift`` hexagons away (the labels change with it)."""
     dx, dy = hex_center(shift)
-    return PathEmbedding(
-        tuple(
-            TriadPlacement(
-                p.triad,
-                tuple((x + shift[0], y + shift[1]) for x, y in p.hexes),
-                (p.point[0] + dx, p.point[1] + dy),
-            )
-            for p in embedding.placements
-        ),
-        embedding.arities,
+    return tuple(
+        TriadPlacement(
+            p.triad,
+            tuple((x + shift[0], y + shift[1]) for x, y in p.hexes),
+            (p.point[0] + dx, p.point[1] + dy),
+        )
+        for p in placements
     )
 
 
@@ -270,8 +263,8 @@ def test_fmt_never_writes_negative_zero(value):
     st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
 )
 def test_render_matches_the_reference_on_random_progressions(anchor, triads, shift):
-    embedding = embed_path(_progression_annotation(triads), anchor)
-    for drawn in (embedding, _translated(embedding, shift)):
+    placements = embed_path([parse_chord_symbol(t.name) for t in triads], anchor)
+    for drawn in (placements, _translated(placements, shift)):
         assert render_tonnetz_svg(drawn, anchor) == render_tonnetz_svg_reference(
             drawn, anchor
         )
@@ -279,13 +272,12 @@ def test_render_matches_the_reference_on_random_progressions(anchor, triads, shi
 
 def test_render_empty_embedding_rejected():
     with pytest.raises(TonnetzlabError, match="^cannot render an empty embedding$"):
-        render_tonnetz_svg(PathEmbedding((), ()))
+        render_tonnetz_svg(())
 
 
 def test_start_and_end_circles_distinct_when_path_ends_elsewhere():
     chords = [parse_chord_symbol(t) for t in ["A", "E"]]
-    annotation = annotate_progression(chords, Key(A))
-    svg = render_tonnetz_svg(embed_path(annotation, anchor=A), anchor=A)
+    svg = render_tonnetz_svg(embed_path(chords, anchor=A), anchor=A)
     root = ET.fromstring(svg)
     circles = [el for el in root.iter() if el.get("class") == "chord-circle"]
     assert len(circles) == 2
@@ -489,8 +481,7 @@ def _transposed(doc: ChartDocument, shift: int) -> ChartDocument:
         )
         for name, section in doc.sections.items()
     }
-    key = Key((doc.key.tonic + shift) % 12)
-    return doc._replace(key=key, sections=sections)
+    return doc._replace(key=(doc.key + shift) % 12, sections=sections)
 
 
 @pytest.mark.parametrize("chart_name", sorted(TRANSPOSED_TONNETZ))
@@ -507,5 +498,5 @@ def test_render_tonnetz_in_every_key_matches_recorded_hashes(chart_name, tmp_pat
             argv = ["render-tonnetz", str(chart), "--section", name, "--out", str(svg)]
             assert main(argv) == 0
             digest.update(name.encode() + b"\0" + svg.read_bytes())
-        got[pitch_class_name(moved.key.tonic)] = digest.hexdigest()
+        got[pitch_class_name(moved.key)] = digest.hexdigest()
     assert got == TRANSPOSED_TONNETZ[chart_name]

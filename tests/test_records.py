@@ -13,14 +13,7 @@ from hypothesis import strategies as st
 import tonnetzlab
 from tonnetzlab.chart import ChordEvent, TimedChord
 from tonnetzlab.chroma.dictionary import build_note_dictionary
-from tonnetzlab.harmony import (
-    ALL_TRIADS,
-    ChordSymbol,
-    Embellishment,
-    Quality,
-    RomanLabel,
-)
-from tonnetzlab.lattice import PathEmbedding, place_triad
+from tonnetzlab.harmony import ChordSymbol, Embellishment, Quality, RomanLabel
 from tonnetzlab.rhythm import RhythmClock
 
 
@@ -41,7 +34,7 @@ _VALUES = st.one_of(st.integers(-3, 3), st.booleans(), st.text(max_size=2), st.n
 
 
 def test_every_record_type_is_found():
-    assert len(RECORDS) == 20
+    assert len(RECORDS) == 18
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
@@ -124,16 +117,6 @@ def test_rhythm_clock_rejects_hours_outside_the_cycle_or_out_of_order(cycle, hou
     else:
         with pytest.raises(ValueError, match="onset hour"):
             RhythmClock(onsets, cycle)
-
-
-@given(st.integers(0, 4), st.integers(0, 5))
-def test_path_embedding_needs_one_arity_per_consecutive_pair(placements, arities):
-    chosen = tuple(place_triad(t) for t in ALL_TRIADS[:placements])
-    if arities == max(placements - 1, 0):
-        assert PathEmbedding(chosen, (1,) * arities).arities == (1,) * arities
-    else:
-        with pytest.raises(ValueError, match="one arity per consecutive"):
-            PathEmbedding(chosen, (1,) * arities)
 
 
 def test_note_dictionary_is_read_only_and_hashed_by_identity():

@@ -3,9 +3,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from tonnetzlab.harmony import ALL_TRIADS, Key, Quality, Triad, parse_chord_symbol
+from tonnetzlab.harmony import ALL_TRIADS, Quality, Triad, parse_chord_symbol
 from tonnetzlab.transforms import (
-    MoveKind,
     NeoRiemannianOp,
     annotate_progression,
     apply_nr,
@@ -128,22 +127,22 @@ def test_distance_invariant_under_transposition():
 
 def test_classify_generic_single():
     move = classify_move(parse_chord_symbol("A7"), parse_chord_symbol("D"))
-    assert (move.arity, move.kind, move.nr_name) == (1, MoveKind.SINGLE, None)
+    assert (move.arity, move.kind, move.nr_name) == (1, "single", None)
 
 
 def test_classify_named_parallel():
     move = classify_move(parse_chord_symbol("D"), parse_chord_symbol("d"))
-    assert (move.kind, move.nr_name) == (MoveKind.SINGLE, NeoRiemannianOp.P)
+    assert (move.kind, move.nr_name) == ("single", NeoRiemannianOp.P)
 
 
 def test_classify_double():
     move = classify_move(parse_chord_symbol("B7"), parse_chord_symbol("d"))
-    assert (move.arity, move.kind, move.nr_name) == (2, MoveKind.DOUBLE, None)
+    assert (move.arity, move.kind, move.nr_name) == (2, "double", None)
 
 
 def test_classify_identity_for_embellishment_change():
     move = classify_move(parse_chord_symbol("A"), parse_chord_symbol("A7"))
-    assert (move.arity, move.kind) == (0, MoveKind.IDENTITY)
+    assert (move.arity, move.kind) == (0, "identity")
 
 
 def test_classify_arity_is_symmetric():
@@ -160,26 +159,26 @@ def test_relative_applies_in_both_directions():
 
 
 def test_annotate_single_chord_has_no_moves():
-    annotation = annotate_progression([parse_chord_symbol("A")], Key(A))
+    annotation = annotate_progression([parse_chord_symbol("A")], A)
     assert annotation.moves == ()
     assert [label.text for label in annotation.roman] == ["I"]
-    assert annotate_progression([], Key(A)).moves == ()
+    assert annotate_progression([], A).moves == ()
 
 
 def test_annotate_interlude_arities():
     chords = [parse_chord_symbol(t) for t in ["A", "E", "f#", "A7", "D", "d", "A"]]
-    annotation = annotate_progression(chords, Key(A))
+    annotation = annotate_progression(chords, A)
     assert [m.arity for m in annotation.moves] == [1, 2, 1, 1, 1, 1]
 
 
 def test_annotate_coda_arities():
     chords = [parse_chord_symbol(t) for t in ["A", "E7", "d", "A", "E7", "A"]]
-    annotation = annotate_progression(chords, Key(A))
+    annotation = annotate_progression(chords, A)
     assert [m.arity for m in annotation.moves] == [1, 2, 1, 1, 1]
 
 
 def test_annotate_move_count_is_chords_minus_one():
     chords = [parse_chord_symbol(t) for t in ["A", "E7", "A", "f#", "A7"]]
-    annotation = annotate_progression(chords, Key(A))
+    annotation = annotate_progression(chords, A)
     assert len(annotation.moves) == len(chords) - 1
     assert len(annotation.roman) == len(chords)
