@@ -12,7 +12,8 @@ Header lines come first::
 ``meter``'s numerator counts quarter-note beats per measure, from 1 to 12; the
 denominator is not read, so ``6/8`` is a measure of six beats.
 ``form`` lists section names in playing order; every name must be defined.
-Sections may also be defined without appearing in the form.
+Sections may also be defined without appearing in the form. Each header may
+appear only once.
 
 A section starts with ``[Name]`` on its own line. Body lines hold measures
 separated by ``|`` (line breaks also end a measure). A measure is a list of
@@ -126,6 +127,7 @@ def parse_chart(text: str) -> ChartDocument:
     key: PitchClass | None = None
     meter: int | None = None
     form: tuple[str, ...] | None = None
+    header_lines: dict[str, int] = {}
 
     sections: dict[str, Section] = {}
     current: str | None = None
@@ -160,10 +162,18 @@ def parse_chart(text: str) -> ChartDocument:
                 raise TonnetzlabError(f"line {line_no}: expected 'header: value'")
             head, _, value = line.partition(":")
             head, value = head.strip().lower(), value.strip()
+            if head in header_lines:
+                raise TonnetzlabError(
+                    f"line {line_no}: {head} repeated from line {header_lines[head]}"
+                )
+            header_lines[head] = line_no
             if head == "title":
                 title = value
             elif head == "key":
-                key = parse_pitch_class(value)
+                try:
+                    key = parse_pitch_class(value)
+                except TonnetzlabError as exc:
+                    raise TonnetzlabError(f"line {line_no}: {exc}") from exc
             elif head == "meter":
                 meter = _parse_meter(value, line_no)
             elif head == "form":

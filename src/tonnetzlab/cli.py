@@ -80,7 +80,7 @@ def _moves_json(annotation: ProgressionAnnotation) -> list[dict]:
                 "to": move.target.display,
                 "arity": move.arity,
                 "kind": move.kind,
-                "nr": move.nr_name.value if move.nr_name else None,
+                "nr": move.nr_name,
             }
         )
     return out
@@ -91,7 +91,7 @@ def _rhythm_json(report: SubstructureReport) -> dict:
         "distinct_clocks": [
             {
                 "onsets": [[hour, label] for hour, label in clock.onsets],
-                "class": cls.value,
+                "class": cls,
                 "partial": clock.partial,
             }
             for clock, cls in zip(report.distinct_clocks, report.classifications)
@@ -102,7 +102,10 @@ def _rhythm_json(report: SubstructureReport) -> dict:
             for a in report.alternations
         ],
         "reflections": [
-            {"clocks": [r.first, r.second], "axis_hours": list(r.axis_hours)}
+            {
+                "clocks": [r.first, r.second],
+                "axis_hours": [0, report.distinct_clocks[r.first].cycle // 2],
+            }
             for r in report.reflections
         ],
     }
@@ -117,13 +120,13 @@ def _section_json(section: Section, key: PitchClass, meter: int) -> dict:
     notes: list[str] = []
     if len(chords) >= 2:
         annotation = annotate_progression(chords, key)
-        entry["roman"] = [label.text for label in annotation.roman]
+        entry["roman"] = list(annotation.roman)
         entry["moves"] = _moves_json(annotation)
         entry["cadences"] = [
             {"kind": c.kind, "start": c.start, "length": c.length}
             for c in annotation.cadences
         ]
-        if any("♭VII" in label.text for label in annotation.roman):
+        if any("♭VII" in label for label in annotation.roman):
             notes.append(FLAT_SEVEN_NOTE)
     substructures = detect_substructures(clocks_for(flatten(section), meter))
     entry["rhythm"] = _rhythm_json(substructures)

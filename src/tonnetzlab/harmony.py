@@ -25,26 +25,15 @@ _LETTER_PCS = {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11}
 _SHARP_CHARS = "#♯"  # '#' and '♯'
 _FLAT_CHARS = "b♭"  # 'b' and '♭'
 
-MAJOR_SCALE_DEGREES = {0: 1, 2: 2, 4: 3, 5: 4, 7: 5, 9: 6, 11: 7}
-
-_ROMAN_NUMERALS = ["I", "II", "III", "IV", "V", "VI", "VII"]
+# the numeral of each interval above the tonic, 0 to 11
+_NUMERALS = (
+    "I", "♭II", "II", "♭III", "III", "IV", "♭V", "V", "♭VI", "VI", "♭VII", "VII"
+)
 
 
 class Quality(enum.Enum):
     MAJOR = "major"
     MINOR = "minor"
-
-
-class Embellishment(enum.Enum):
-    NONE = ""
-    SIXTH = "6"
-    SEVENTH = "7"
-
-
-class Accidental(enum.Enum):
-    NATURAL = ""
-    FLAT = "♭"
-    SHARP = "♯"
 
 
 def pitch_class_name(pc: PitchClass) -> str:
@@ -98,7 +87,7 @@ class ChordSymbol(NamedTuple):
 
     root: PitchClass
     quality: Quality
-    embellishment: Embellishment = Embellishment.NONE
+    embellishment: str = ""  # "", "6" or "7"
     bass: PitchClass | None = None
     text: str = ""
 
@@ -113,7 +102,7 @@ class ChordSymbol(NamedTuple):
         name = pitch_class_name(self.root)
         if self.quality is Quality.MINOR:
             name = name.lower()
-        out = name + self.embellishment.value
+        out = name + self.embellishment
         if self.bass is not None:
             out += "/" + pitch_class_name(self.bass)
         return out
@@ -121,33 +110,6 @@ class ChordSymbol(NamedTuple):
     @property
     def display(self) -> str:
         return self.text or self.canonical()
-
-
-@record
-class RomanLabel(NamedTuple):
-    """A Roman-numeral chord label relative to a major key."""
-
-    degree: int
-    accidental: Accidental = Accidental.NATURAL
-    quality: Quality = Quality.MAJOR
-    embellishment: Embellishment = Embellishment.NONE
-    secondary_of: "RomanLabel | None" = None
-
-    def _check(self) -> None:
-        if not 1 <= self.degree <= 7:
-            raise ValueError(f"degree out of range: {self.degree}")
-        if self.secondary_of is not None and self.degree != 5:
-            raise ValueError("secondary labels are only used for dominants")
-
-    @property
-    def text(self) -> str:
-        numeral = _ROMAN_NUMERALS[self.degree - 1]
-        if self.quality is Quality.MINOR:
-            numeral = numeral.lower()
-        out = self.accidental.value + numeral + self.embellishment.value
-        if self.secondary_of is not None:
-            out += "/" + self.secondary_of.text
-        return out
 
 
 def parse_chord_symbol(token: str) -> ChordSymbol:
@@ -177,11 +139,9 @@ def parse_chord_symbol(token: str) -> ChordSymbol:
         quality = Quality.MINOR
         rest = rest[1:]
 
-    embellishment = Embellishment.NONE
-    if rest.startswith("6"):
-        embellishment, rest = Embellishment.SIXTH, rest[1:]
-    elif rest.startswith("7"):
-        embellishment, rest = Embellishment.SEVENTH, rest[1:]
+    embellishment = ""
+    if rest[:1] in ("6", "7"):
+        embellishment, rest = rest[0], rest[1:]
 
     bass: PitchClass | None = None
     if rest.startswith("/"):
@@ -211,9 +171,9 @@ def pitch_class_set(symbol: ChordSymbol) -> frozenset[PitchClass]:
     sixth adds root+9.
     """
     tones = set(triad_of(symbol).pitch_classes())
-    if symbol.embellishment is Embellishment.SEVENTH:
+    if symbol.embellishment == "7":
         tones.add((symbol.root + 10) % 12)
-    elif symbol.embellishment is Embellishment.SIXTH:
+    elif symbol.embellishment == "6":
         tones.add((symbol.root + 9) % 12)
     return frozenset(tones)
 
@@ -223,37 +183,19 @@ def common_tones(a: ChordSymbol, b: ChordSymbol) -> frozenset[PitchClass]:
     return pitch_class_set(a) & pitch_class_set(b)
 
 
-def roman_numeral(symbol: ChordSymbol, key: PitchClass) -> RomanLabel:
-    """Roman-numeral label for a chord in the major key with tonic ``key``.
+def roman_numeral(symbol: ChordSymbol, key: PitchClass) -> str:
+    """Roman-numeral label, such as ``♭VII`` or ``ii7``, of a chord in the major
+    key with tonic ``key``.
 
-    Diatonic roots take the plain degree. A non-diatonic root one semitone
-    below a diatonic degree is spelled flat (G in A major is ♭VII); the sharp
-    spelling is the fallback so every pitch class gets a label. A major chord
-    with a seventh whose plain degree would be I7 is relabeled V7/IV, the
-    secondary dominant of the subdominant.
+    A root outside the scale is spelled as the flat of the degree above it (G
+    in A major is ♭VII). Lowercase marks a minor chord, and a 6 or 7 follows
+    the numeral. A major chord with a seventh whose plain label would be I7 is
+    labelled V7/IV, the secondary dominant of the subdominant.
     """
     interval = (symbol.root - key) % 12
-    if interval in MAJOR_SCALE_DEGREES:
-        degree, accidental = MAJOR_SCALE_DEGREES[interval], Accidental.NATURAL
-    elif (interval + 1) % 12 in MAJOR_SCALE_DEGREES:
-        degree = MAJOR_SCALE_DEGREES[(interval + 1) % 12]
-        accidental = Accidental.FLAT
-    else:
-        degree = MAJOR_SCALE_DEGREES[(interval - 1) % 12]
-        accidental = Accidental.SHARP
-
-    if (
-        degree == 1
-        and accidental is Accidental.NATURAL
-        and symbol.quality is Quality.MAJOR
-        and symbol.embellishment is Embellishment.SEVENTH
-    ):
-        return RomanLabel(
-            5,
-            Accidental.NATURAL,
-            Quality.MAJOR,
-            Embellishment.SEVENTH,
-            secondary_of=RomanLabel(4),
-        )
-
-    return RomanLabel(degree, accidental, symbol.quality, symbol.embellishment)
+    if (interval, symbol.quality, symbol.embellishment) == (0, Quality.MAJOR, "7"):
+        return "V7/IV"
+    numeral = _NUMERALS[interval]
+    if symbol.quality is Quality.MINOR:
+        numeral = numeral.lower()
+    return numeral + symbol.embellishment

@@ -13,7 +13,7 @@ and kept; the chart's meter (at most ``MAX_METER`` beats) bounds the cycles.
 
 from __future__ import annotations
 
-import enum
+import bisect
 import functools
 import math
 from typing import NamedTuple
@@ -23,13 +23,6 @@ from .lattice import _fmt
 from .record import record
 
 WINDOW_MEASURES = 2  # measures per clock window
-
-
-class RhythmClass(enum.Enum):
-    WHOLE_NOTE = "whole_note"
-    HALF_NOTE = "half_note"
-    MIXED = "mixed"
-    CONTINUATION = "continuation"
 
 
 @record
@@ -74,19 +67,20 @@ def clocks_for(timed: list[TimedChord], meter: int) -> list[RhythmClock]:
     ]
 
 
-def classify_rhythm(clock: RhythmClock) -> RhythmClass:
-    """Whole-note (every cyclic gap a measure), half-note (half one) or mixed."""
+def classify_rhythm(clock: RhythmClock) -> str:
+    """``whole_note`` (every cyclic gap a measure), ``half_note`` (half one),
+    ``mixed``, or ``continuation`` for a clock with no onset."""
     if clock.is_continuation:
-        return RhythmClass.CONTINUATION
+        return "continuation"
     hours = clock.hours
     measure = clock.cycle // WINDOW_MEASURES
     gaps = [b - a for a, b in zip(hours, hours[1:])]
     gaps.append(hours[0] + clock.cycle - hours[-1])
     if all(g == measure for g in gaps):
-        return RhythmClass.WHOLE_NOTE
+        return "whole_note"
     if all(2 * g == measure for g in gaps):
-        return RhythmClass.HALF_NOTE
-    return RhythmClass.MIXED
+        return "half_note"
+    return "mixed"
 
 
 def reflect_clock(clock: RhythmClock, axis_hour: int) -> RhythmClock:
@@ -118,7 +112,6 @@ class ReflectionPair(NamedTuple):
 
     first: int
     second: int
-    axis_hours: tuple[int, int]  # (0, cycle / 2)
 
 
 @record
@@ -129,7 +122,7 @@ class SubstructureReport(NamedTuple):
     reflections: tuple[ReflectionPair, ...]
 
     @property
-    def classifications(self) -> tuple[RhythmClass, ...]:
+    def classifications(self) -> tuple[str, ...]:
         return tuple(classify_rhythm(c) for c in self.distinct_clocks)
 
 
@@ -154,18 +147,22 @@ def detect_substructures(clocks: list[RhythmClock]) -> SubstructureReport:
     Clocks are distinct when either their hour sets or their label sequences
     differ (the same rhythm over different chords is a different
     substructure). Reflections through the mirror from hour 0 to the opposite
-    hour are reported for distinct pairs, comparing hour sets only.
+    hour are reported for distinct pairs, comparing hour sets only: each
+    clock's mirror image is looked up among the clocks indexed by hour set, so
+    the work is linear in the clocks plus the pairs found.
     """
     position: dict[RhythmClock, int] = {}
     occurrence = [position.setdefault(clock, len(position)) for clock in clocks]
     distinct = list(position)
 
+    with_hours: dict[frozenset[int], list[int]] = {}
+    for i, clock in enumerate(distinct):
+        with_hours.setdefault(frozenset(clock.hours), []).append(i)
     reflections = []
-    for i in range(len(distinct)):
-        mirrored = set(reflect_clock(distinct[i], 0).hours)
-        for j in range(i + 1, len(distinct)):
-            if mirrored == set(distinct[j].hours):
-                reflections.append(ReflectionPair(i, j, (0, distinct[i].cycle // 2)))
+    for i, clock in enumerate(distinct):
+        mirrors = with_hours.get(frozenset(reflect_clock(clock, 0).hours), [])
+        later = mirrors[bisect.bisect_right(mirrors, i) :]
+        reflections += [ReflectionPair(i, j) for j in later]
 
     return SubstructureReport(
         tuple(distinct),

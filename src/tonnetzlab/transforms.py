@@ -14,44 +14,30 @@ though the seventh of E7 is a d-chord tone.
 
 from __future__ import annotations
 
-import enum
 from typing import NamedTuple
 
-from .harmony import (
-    Accidental,
-    ChordSymbol,
-    PitchClass,
-    Quality,
-    RomanLabel,
-    Triad,
-    roman_numeral,
-    triad_of,
-)
+from .harmony import ChordSymbol, PitchClass, Quality, Triad, roman_numeral, triad_of
 from .record import record
 
-
-class NeoRiemannianOp(enum.Enum):
-    P = "P"  # parallel: same root, toggled quality
-    L = "L"  # leittonwechsel
-    R = "R"  # relative
-    N = "N"  # nebenverwandt: major key to its minor subdominant and back
-
+# P parallel: same root, toggled quality; L leittonwechsel; R relative;
+# N nebenverwandt: major key to its minor subdominant and back
+NR_OPS = "PLRN"
 
 # root offset applied by each operation, keyed by (op, source quality)
 _NR_ROOT_SHIFT = {
-    (NeoRiemannianOp.P, Quality.MAJOR): 0,
-    (NeoRiemannianOp.P, Quality.MINOR): 0,
-    (NeoRiemannianOp.R, Quality.MAJOR): 9,
-    (NeoRiemannianOp.R, Quality.MINOR): 3,
-    (NeoRiemannianOp.L, Quality.MAJOR): 4,
-    (NeoRiemannianOp.L, Quality.MINOR): 8,
-    (NeoRiemannianOp.N, Quality.MAJOR): 5,
-    (NeoRiemannianOp.N, Quality.MINOR): 7,
+    ("P", Quality.MAJOR): 0,
+    ("P", Quality.MINOR): 0,
+    ("R", Quality.MAJOR): 9,
+    ("R", Quality.MINOR): 3,
+    ("L", Quality.MAJOR): 4,
+    ("L", Quality.MINOR): 8,
+    ("N", Quality.MAJOR): 5,
+    ("N", Quality.MINOR): 7,
 }
 
 
-def apply_nr(op: NeoRiemannianOp, t: Triad) -> Triad:
-    """Apply a neo-Riemannian operation; each one toggles triad quality."""
+def apply_nr(op: str, t: Triad) -> Triad:
+    """Apply operation ``op``, a letter of ``NR_OPS``; each toggles triad quality."""
     shift = _NR_ROOT_SHIFT[(op, t.quality)]
     quality = Quality.MINOR if t.quality is Quality.MAJOR else Quality.MAJOR
     return Triad((t.root + shift) % 12, quality)
@@ -78,7 +64,7 @@ class TonnetzMove(NamedTuple):
     source: ChordSymbol
     target: ChordSymbol
     arity: int
-    nr_name: NeoRiemannianOp | None = None
+    nr_name: str | None = None  # a letter of NR_OPS
 
     @property
     def kind(self) -> str:
@@ -95,7 +81,7 @@ def classify_move(a: ChordSymbol, b: ChordSymbol) -> TonnetzMove:
     ta, tb = triad_of(a), triad_of(b)
     arity = tonnetz_distance(ta, tb)
     nr_name = None  # every operation changes the quality, so none names arity 0
-    for op in NeoRiemannianOp:
+    for op in NR_OPS:
         if apply_nr(op, ta) == tb:
             nr_name = op
             break
@@ -114,38 +100,22 @@ class Cadence(NamedTuple):
 @record
 class ProgressionAnnotation(NamedTuple):
     moves: tuple[TonnetzMove, ...]
-    roman: tuple[RomanLabel, ...]
+    roman: tuple[str, ...]
     cadences: tuple[Cadence, ...]
 
 
-def _is_plain(label: RomanLabel, degree: int, quality: Quality) -> bool:
-    return (
-        label.degree == degree
-        and label.quality is quality
-        and label.accidental is Accidental.NATURAL
-        and label.secondary_of is None
-    )
-
-
-def detect_cadences(roman: tuple[RomanLabel, ...]) -> tuple[Cadence, ...]:
+def detect_cadences(roman: tuple[str, ...]) -> tuple[Cadence, ...]:
     """Find IV-iv-I (plagal cadence with modal mixture) and V-vi (deceptive).
 
     Embellishments are ignored; secondary-dominant labels never match.
     """
+    plain = [label.rstrip("67") for label in roman]
     found: list[Cadence] = []
-    for i in range(len(roman) - 2):
-        if (
-            _is_plain(roman[i], 4, Quality.MAJOR)
-            and _is_plain(roman[i + 1], 4, Quality.MINOR)
-            and _is_plain(roman[i + 2], 1, Quality.MAJOR)
-        ):
+    for i in range(len(plain)):
+        if plain[i : i + 3] == ["IV", "iv", "I"]:
             found.append(Cadence("plagal_mixture", i, 3))
-    for i in range(len(roman) - 1):
-        if _is_plain(roman[i], 5, Quality.MAJOR) and _is_plain(
-            roman[i + 1], 6, Quality.MINOR
-        ):
+        elif plain[i : i + 2] == ["V", "vi"]:
             found.append(Cadence("deceptive", i, 2))
-    found.sort(key=lambda c: (c.start, c.kind))
     return tuple(found)
 
 

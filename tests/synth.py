@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from tonnetzlab.chroma.wavio import AudioBuffer
-from tonnetzlab.harmony import ChordSymbol, Embellishment, Quality
+from tonnetzlab.harmony import ChordSymbol, Quality
 
 
 def midi_frequency(note: float) -> float:
@@ -52,9 +52,9 @@ def chord_midi_notes(symbol: ChordSymbol) -> list[int]:
     """Root-position voicing starting at octave 3 (A major -> A3, C#4, E4)."""
     root = 48 + symbol.root
     intervals = [0, 4 if symbol.quality is Quality.MAJOR else 3, 7]
-    if symbol.embellishment is Embellishment.SEVENTH:
+    if symbol.embellishment == "7":
         intervals.append(10)
-    elif symbol.embellishment is Embellishment.SIXTH:
+    elif symbol.embellishment == "6":
         intervals.append(9)
     return [root + i for i in intervals]
 

@@ -29,7 +29,7 @@ from tonnetzlab.harmony import (
 from tonnetzlab.lattice import embed_path, render_tonnetz_svg
 from tonnetzlab.rhythm import clocks_for, detect_substructures, render_clock_svg
 from tonnetzlab.transforms import (
-    NeoRiemannianOp,
+    NR_OPS,
     annotate_progression,
     apply_nr,
     classify_move,
@@ -82,15 +82,15 @@ def test_criterion_1_arity_fidelity(lead_chart, recorded_chart):
 
 def test_criterion_2_neo_riemannian_naming():
     cases = [
-        ("D", "d", NeoRiemannianOp.P),
-        ("A", "f#", NeoRiemannianOp.R),
-        ("f#", "A", NeoRiemannianOp.R),
-        ("d", "A", NeoRiemannianOp.N),
+        ("D", "d", "P"),
+        ("A", "f#", "R"),
+        ("f#", "A", "R"),
+        ("d", "A", "N"),
     ]
     for src, dst, op in cases:
         move = classify_move(parse_chord_symbol(src), parse_chord_symbol(dst))
-        assert move.nr_name is op, (src, dst)
-    for op, triad in itertools.product(NeoRiemannianOp, ALL_TRIADS):
+        assert move.nr_name == op, (src, dst)
+    for op, triad in itertools.product(NR_OPS, ALL_TRIADS):
         assert apply_nr(op, apply_nr(op, triad)) == triad
     print("\nACCEPTANCE 2 PASS - P/R/N namings exact; all four ops involutions")
 
@@ -106,7 +106,7 @@ def test_criterion_3_roman_numerals_and_cadences(lead_chart, recorded_chart):
     from tonnetzlab.harmony import roman_numeral
 
     for token, expected in expectations.items():
-        assert roman_numeral(parse_chord_symbol(token), A_KEY).text == expected
+        assert roman_numeral(parse_chord_symbol(token), A_KEY) == expected
 
     lead_verse = annotate_progression(
         progression(lead_chart.sections["Verse"]), lead_chart.key
@@ -151,7 +151,7 @@ def test_criterion_5_substructures(lead_chart, recorded_chart):
         clocks_for(flatten(lead_chart.sections["Verse"]), lead_chart.meter)
     )
     assert len(lead.distinct_clocks) == 3
-    assert [c.value for c in lead.classifications] == [
+    assert list(lead.classifications) == [
         "whole_note",
         "mixed",
         "mixed",

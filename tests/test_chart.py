@@ -19,7 +19,7 @@ from tonnetzlab.chart import (
 )
 from tonnetzlab.cli import main
 from tonnetzlab.errors import TonnetzlabError
-from tonnetzlab.harmony import ChordSymbol, Embellishment, Quality, pitch_class_set
+from tonnetzlab.harmony import ChordSymbol, Quality, pitch_class_set
 from tonnetzlab.rhythm import clocks_for
 
 MINIMAL_HEADER = "key: A\nmeter: 4/4\nform: Main\n"
@@ -154,6 +154,16 @@ def test_meter_numerator_counts_beats(meter, beats):
     assert doc.meter == beats
     (measure,) = doc.sections["Main"].measures
     assert [e.duration for e in measure] == [beats]
+
+
+@pytest.mark.parametrize(
+    "header, first",
+    [("title: Again", 1), ("KEY: Bb", 2), ("meter: 3/4", 3), ("form: Main", 4)],
+)
+def test_a_repeated_header_is_an_error_naming_both_lines(header, first):
+    text = _chart("A", header=f"title: T\n{MINIMAL_HEADER}{header}\n")
+    with pytest.raises(TonnetzlabError, match=rf"^line 5: \w+ repeated from line {first}$"):
+        parse_chart(text)
 
 
 def test_missing_headers_reported():
@@ -298,7 +308,7 @@ def _chords(draw) -> ChordSymbol:
     plain = ChordSymbol(
         draw(st.integers(0, 11)),
         draw(st.sampled_from(Quality)),
-        draw(st.sampled_from(Embellishment)),
+        draw(st.sampled_from(("", "6", "7"))),
     )
     bass = draw(st.none() | st.sampled_from(sorted(pitch_class_set(plain))))
     return ChordSymbol(plain.root, plain.quality, plain.embellishment, bass)

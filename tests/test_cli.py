@@ -316,12 +316,14 @@ def test_one_chord_section_is_one_circle_and_no_arrow(tmp_path):
          .encode(), "analyze", "Verse"),
         (f"key: A\nmeter: 4/4\nform: Verse\n[{_LONG_NAME}]\nA:2\n".encode(),
          "analyze", "Verse"),
+        (b"key: H\nmeter: 4/4\nform: Verse\n[Verse]\nA\n", "analyze", "Verse"),
+        (b"key: A\nmeter: 4/4\nform: Verse\nkey: Bb\n[Verse]\nA\n", "analyze", "Verse"),
     ],
     ids=["not-utf-8", "empty-section", "meter-13", "meter-over-4300-digits",
          "duration-over-4300-digits", "chord-of-5001-characters",
          "key-of-5000-characters", "section-flag-of-5000-characters",
          "section-of-5000-characters-redefined",
-         "section-of-5000-characters-short-measure"],
+         "section-of-5000-characters-short-measure", "key-H", "key-repeated"],
 )
 def test_unanalysable_chart_is_a_one_line_error(
     tmp_path, capsys, chart, command, section
@@ -333,6 +335,10 @@ def test_unanalysable_chart_is_a_one_line_error(
     assert len(err.encode()) < 200  # a long token is cut to a prefix and its length
     if b"\xff" in chart:  # the line names the file and the offset of the bad byte
         assert f"{path}: byte 45 is not UTF-8" in err
+    if chart.startswith(b"key: H"):  # a header error names its line
+        assert err == "tonnetzlab: error: line 1: unknown note letter in 'H'\n"
+    if b"key: Bb" in chart:
+        assert err == "tonnetzlab: error: line 4: key repeated from line 1\n"
 
 
 @pytest.mark.parametrize(

@@ -10,11 +10,16 @@ both 4/4, so these pin the clock faces of 6 and 12 hours), and ``chord-id``
 8-chord acceptance sequence. The audio hashes rest on
 the rounding of numpy's FFT and matrix products; they were recorded with numpy
 2.4 on x86-64.
+
+One more hash covers a seeded corpus of generated charts: ``analyze`` with and
+without ``--key``, and ``render-tonnetz`` and ``render-clocks`` on every
+section, of each chart.
 """
 
 from __future__ import annotations
 
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
@@ -226,3 +231,133 @@ def test_chord_id_outputs_match_golden_hashes(tmp_path):
         "jsonl --pre-emphasis 0.5": _sha(emphasised.read_bytes()),
     }
     assert got == GOLDEN["acceptance.wav"]
+
+
+# The corpus: CORPUS_SIZE charts drawn from random.Random(CORPUS_SEED). Chart i
+# has meter i % 12 + 1, so every meter from 1 to 12 occurs. The draw covers
+# ties, sixths and sevenths, slash basses, sharp and flat spellings in ASCII
+# and Unicode, forms that repeat a section, sections outside the form, and
+# one-chord sections; most sections hold a V7/IV (I7), a IV-iv-I or a V-vi.
+CORPUS_SEED = 18
+CORPUS_SIZE = 100
+CORPUS_HASH = "2221003876ec8c4ed04aa5406fdc3993450ae9e80657c44c29cf708636deb604"
+
+_SHARP_NAMES = ("C", "C#", "D", "D♯", "E", "F", "F#", "G", "G♯", "A", "A#", "B")
+_FLAT_NAMES = ("C", "Db", "D", "E♭", "E", "F", "Gb", "G", "A♭", "A", "Bb", "B")
+_SECTION_NAMES = ("A", "B", "Verse", "Bridge", "Coda", "Solo")
+
+
+def _note(rng: random.Random, pc: int) -> str:
+    return rng.choice((_SHARP_NAMES, _FLAT_NAMES))[pc % 12]
+
+
+def _chord(rng: random.Random, root: int, minor: bool, embellishment: str = "") -> str:
+    name = _note(rng, root)
+    if minor:
+        name = name.lower() if rng.random() < 0.8 else name + "m"
+    tones = [root, root + (3 if minor else 4), root + 7]
+    tones += {"": [], "6": [root + 9], "7": [root + 10]}[embellishment]
+    if rng.random() < 0.15:
+        return f"{name}{embellishment}/{_note(rng, rng.choice(tones))}"
+    return name + embellishment
+
+
+def _random_chord(rng: random.Random, key: int) -> str:
+    root = (key + rng.choice((0, 0, 2, 4, 5, 7, 9, 10, 1, 3, 6, 8, 11))) % 12
+    return _chord(rng, root, rng.random() < 0.4, rng.choice(("", "", "", "6", "7")))
+
+
+def _patterns(rng: random.Random, key: int) -> list[list[str]]:
+    emb = ("", "", "6", "7")
+    return [
+        [_chord(rng, key, False, "7")],  # V7/IV
+        [
+            _chord(rng, key + 5, False, rng.choice(emb)),
+            _chord(rng, key + 5, True, rng.choice(emb)),
+            _chord(rng, key, False, rng.choice(("", "6"))),
+        ],
+        [
+            _chord(rng, key + 7, False, rng.choice(emb)),
+            _chord(rng, key + 9, True, rng.choice(emb)),
+        ],
+    ]
+
+
+def _section_body(rng: random.Random, key: int, meter: int) -> str:
+    if rng.random() < 0.1:
+        return _chord(rng, key, False)  # a one-chord section
+    queue: list[str] = []
+    for pattern in _patterns(rng, key):
+        if rng.random() < 0.5:
+            queue += [_random_chord(rng, key) for _ in range(rng.randint(0, 2))]
+            queue += pattern
+    pool = [_random_chord(rng, key) for _ in range(rng.randint(1, 4))]
+    measures, previous = [], None
+    for _ in range(rng.randint(1, 10)):
+        cuts = sorted(rng.sample(range(1, meter), rng.randint(0, min(meter - 1, 3))))
+        events = []
+        for duration in [b - a for a, b in zip([0, *cuts], [*cuts, meter])]:
+            if previous is not None and rng.random() < 0.15:
+                chord, tie = previous, "~"
+            else:
+                chord = queue.pop(0) if queue else rng.choice(pool)
+                tie = ""
+            full = duration == meter and rng.random() < 0.7
+            events.append(tie + chord + ("" if full else f":{duration}"))
+            previous = chord
+        measures.append(" ".join(events))
+    lines = [" | ".join(measures[i:i + 4]) for i in range(0, len(measures), 4)]
+    if rng.random() < 0.2:
+        lines[0] += "  # comment"
+    return "\n".join(lines)
+
+
+def _corpus_chart(rng: random.Random, meter: int) -> str:
+    key = rng.randrange(12)
+    names = rng.sample(_SECTION_NAMES, rng.randint(1, 3))
+    form = [rng.choice(names) for _ in range(rng.randint(1, 5))]
+    form += [name for name in names if name not in form]
+    if rng.random() < 0.2:
+        names.append("Extra")  # defined, not played
+    lines = [f"title: Corpus {meter}"] if rng.random() < 0.8 else []
+    key_name = _note(rng, key)
+    lines += [
+        f"key: {key_name.lower() if rng.random() < 0.2 else key_name}",
+        f"meter: {meter}/{rng.choice((4, 8))}",
+        f"form: {' '.join(form)}",
+    ]
+    for name in names:
+        lines += ["", f"[{name}]", _section_body(rng, key, meter)]
+    return "\n".join(lines) + "\n"
+
+
+def test_chart_corpus_outputs_match_golden_hash(tmp_path):
+    rng = random.Random(CORPUS_SEED)
+    digest = hashlib.sha256()
+
+    def add(label: str, data: bytes) -> None:
+        digest.update(f"{label} {len(data)}\n".encode())
+        digest.update(data)
+
+    for i in range(CORPUS_SIZE):
+        text = _corpus_chart(rng, i % 12 + 1)
+        chart = tmp_path / f"{i}.chart"
+        chart.write_text(text, encoding="utf-8")
+        add(f"{i} chart", text.encode())
+        report = tmp_path / f"{i}.json"
+        assert main(["analyze", str(chart), "--out", str(report)]) == 0
+        add(f"{i} analyze", report.read_bytes())
+        key = _note(rng, rng.randrange(12))
+        assert main(["analyze", str(chart), "--key", key, "--out", str(report)]) == 0
+        add(f"{i} analyze --key {key}", report.read_bytes())
+        for name in parse_chart(text).sections:
+            svg = tmp_path / f"{i}-{name}.svg"
+            argv = ["render-tonnetz", str(chart), "--section", name, "--out", str(svg)]
+            assert main(argv) == 0
+            add(f"{i} tonnetz/{name}", svg.read_bytes())
+            clock_dir = tmp_path / f"{i}-{name}"
+            argv = ["render-clocks", str(chart), "--section", name, "--out-dir", str(clock_dir)]
+            assert main(argv) == 0
+            for path in sorted(clock_dir.iterdir()):
+                add(f"{i} clocks/{name}/{path.name}", path.read_bytes())
+    assert digest.hexdigest() == CORPUS_HASH

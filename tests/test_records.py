@@ -1,4 +1,8 @@
-"""The package's value records: read-only, equal by value and only to their own type."""
+"""The package's 17 value records: read-only, equal by value and only to their own type.
+
+``RhythmClock`` is the one record with a ``_check``; it rejects onset hours
+outside its cycle or out of order.
+"""
 
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ from hypothesis import strategies as st
 import tonnetzlab
 from tonnetzlab.chart import ChordEvent, TimedChord
 from tonnetzlab.chroma.dictionary import build_note_dictionary
-from tonnetzlab.harmony import ChordSymbol, Embellishment, Quality, RomanLabel
+from tonnetzlab.harmony import ChordSymbol, Quality
 from tonnetzlab.rhythm import RhythmClock
 
 
@@ -34,7 +38,7 @@ _VALUES = st.one_of(st.integers(-3, 3), st.booleans(), st.text(max_size=2), st.n
 
 
 def test_every_record_type_is_found():
-    assert len(RECORDS) == 18
+    assert len(RECORDS) == 17
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
@@ -76,7 +80,7 @@ def test_chord_event_is_not_a_timed_chord():
 
 _ROOTS = st.integers(0, 11)
 _QUALITIES = st.sampled_from(Quality)
-_EMBELLISHMENTS = st.sampled_from(Embellishment)
+_EMBELLISHMENTS = st.sampled_from(("", "6", "7"))
 _BASSES = st.one_of(st.none(), _ROOTS)
 
 
@@ -89,22 +93,6 @@ def test_chord_symbol_equality_and_hash_ignore_text(root, quality, emb, bass, t1
     assert {first: 1}[second] == 1
     assert first != ChordSymbol((root + 1) % 12, quality, emb, bass, t1)
     assert first != (root, quality, emb, bass, t1)
-
-
-@given(
-    st.one_of(st.integers(max_value=0), st.integers(min_value=8)),
-    st.sampled_from(Quality),
-)
-def test_roman_label_degree_out_of_range_raises(degree, quality):
-    with pytest.raises(ValueError, match="degree out of range"):
-        RomanLabel(degree, quality=quality)
-
-
-@given(st.integers(1, 7).filter(lambda d: d != 5))
-def test_roman_label_secondary_of_other_than_a_dominant_raises(degree):
-    with pytest.raises(ValueError, match="only used for dominants"):
-        RomanLabel(degree, secondary_of=RomanLabel(4))
-    assert RomanLabel(5, secondary_of=RomanLabel(degree)).secondary_of.degree == degree
 
 
 @given(st.integers(2, 24), st.lists(st.integers(-30, 30), min_size=1, max_size=6))

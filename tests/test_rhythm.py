@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 import xml.etree.ElementTree as ET
 from time import perf_counter
 
@@ -14,7 +15,6 @@ from tonnetzlab.cli import build_report
 from tonnetzlab.harmony import parse_chord_symbol
 from tonnetzlab.rhythm import (
     WINDOW_MEASURES,
-    RhythmClass,
     RhythmClock,
     classify_rhythm,
     clocks_for,
@@ -73,7 +73,7 @@ def test_sustained_chord_yields_continuation_window():
     assert len(clocks) == 2
     assert clocks[0].onsets == ((0, "A"),)
     assert clocks[1].is_continuation
-    assert classify_rhythm(clocks[1]) is RhythmClass.CONTINUATION
+    assert classify_rhythm(clocks[1]) == "continuation"
 
 
 def test_tie_across_window_boundary_suppresses_hour_zero_onset():
@@ -141,20 +141,38 @@ def test_analysis_of_a_16000_measure_section_is_linear():
     assert elapsed < 3.0
 
 
+def test_reflections_among_2000_distinct_clocks_are_found_fast():
+    # 4000 random 4/4 measures: 1907 distinct clocks, 45404 reflecting pairs
+    rng = random.Random(7)
+    chords = ["A", "E7", "f#", "D", "d", "b", "C#7", "G"]
+    bars = []
+    for _ in range(4000):
+        cuts = sorted(rng.sample(range(1, 4), rng.randint(0, 3)))
+        durations = [b - a for a, b in zip([0, *cuts], [*cuts, 4])]
+        bars.append(" ".join(f"{rng.choice(chords)}:{d}" for d in durations))
+    clocks = clocks_for(_timed(" | ".join(bars)), 4)
+    start = perf_counter()
+    report = detect_substructures(clocks)
+    elapsed = perf_counter() - start
+    assert (len(report.distinct_clocks), len(report.reflections)) == (1907, 45404)
+    # 0.04 s on a 2-core shared host; comparing every pair of clocks took 1.8 s
+    assert elapsed < 0.5
+
+
 def test_classification_rules():
     assert (
         classify_rhythm(RhythmClock(((0, "A"), (4, "E7")), 8))
-        is RhythmClass.WHOLE_NOTE
+        == "whole_note"
     )
     assert (
         classify_rhythm(RhythmClock(((0, "a"), (2, "b"), (4, "c"), (6, "d")), 8))
-        is RhythmClass.HALF_NOTE
+        == "half_note"
     )
     assert (
         classify_rhythm(RhythmClock(((0, "A"), (4, "f#"), (6, "A7")), 8))
-        is RhythmClass.MIXED
+        == "mixed"
     )
-    assert classify_rhythm(RhythmClock((), 8)) is RhythmClass.CONTINUATION
+    assert classify_rhythm(RhythmClock((), 8)) == "continuation"
 
 
 @pytest.mark.parametrize(
@@ -173,7 +191,7 @@ def test_classification_rules():
 )
 def test_classification_in_three_four_and_six_eight(meter, body, classes):
     report = detect_substructures(clocks_for(_timed(body, meter), meter))
-    assert [c.value for c in report.classifications] == classes
+    assert list(report.classifications) == classes
 
 
 def test_reflection_example():
@@ -198,9 +216,9 @@ def test_reflection_preserves_classification():
     for cycle in CYCLES:
         clocks = _clocks(cycle)
         expected = ["whole_note"] + ["half_note"] * (cycle % 4 == 0) + ["mixed"] * 2
-        assert [classify_rhythm(c).value for c in clocks] == expected
+        assert [classify_rhythm(c) for c in clocks] == expected
         for clock, axis in itertools.product(clocks, range(cycle)):
-            assert classify_rhythm(reflect_clock(clock, axis)) is classify_rhythm(clock)
+            assert classify_rhythm(reflect_clock(clock, axis)) == classify_rhythm(clock)
 
 
 def test_single_onset_fixed_under_the_zero_four_mirror():
@@ -215,7 +233,8 @@ def test_reflection_axis_is_hour_zero_and_its_opposite(meter):
     report = detect_substructures(clocks_for(_timed(body, meter), meter))
     (pair,) = report.reflections
     assert (pair.first, pair.second) == (0, 1)
-    assert pair.axis_hours == (0, meter)
+    first, second = report.distinct_clocks[:2]
+    assert set(reflect_clock(first, 0).hours) == set(second.hours)
 
 
 def test_lead_verse_substructures(lead_chart):
@@ -223,7 +242,7 @@ def test_lead_verse_substructures(lead_chart):
     report = detect_substructures(clocks)
     assert len(report.distinct_clocks) == 3
     assert report.occurrence_sequence == (0, 0, 1, 2, 1, 2)
-    assert [c.value for c in report.classifications] == [
+    assert list(report.classifications) == [
         "whole_note",
         "mixed",
         "mixed",
@@ -255,7 +274,7 @@ def _substructures_by_list_scan(clocks):
             distinct.append(clock)
         occurrence.append(distinct.index(clock))
     reflections = [
-        (i, j, (0, distinct[i].cycle // 2))
+        (i, j)
         for i in range(len(distinct))
         for j in range(i + 1, len(distinct))
         if set(reflect_clock(distinct[i], 0).hours) == set(distinct[j].hours)
@@ -286,7 +305,7 @@ def test_substructures_match_the_list_scan_reference(clocks):
     distinct, occurrence, reflections = _substructures_by_list_scan(clocks)
     assert report.distinct_clocks == distinct
     assert report.occurrence_sequence == occurrence
-    assert [(r.first, r.second, r.axis_hours) for r in report.reflections] == reflections
+    assert [(r.first, r.second) for r in report.reflections] == reflections
 
 
 def test_recorded_bridge_split_measure_is_mixed(recorded_chart):
@@ -299,7 +318,7 @@ def test_recorded_bridge_split_measure_is_mixed(recorded_chart):
         for clock, cls in zip(report.distinct_clocks, report.classifications)
         if len(clock.onsets) == 4
     ]
-    assert split == [RhythmClass.MIXED]
+    assert split == ["mixed"]
 
 
 def test_clock_svg_labels_and_ticks():

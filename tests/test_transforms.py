@@ -3,9 +3,18 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from tonnetzlab.harmony import ALL_TRIADS, Quality, Triad, parse_chord_symbol
+from hypothesis import given
+from hypothesis import strategies as st
+
+from tonnetzlab.harmony import (
+    ALL_TRIADS,
+    ChordSymbol,
+    Quality,
+    Triad,
+    parse_chord_symbol,
+)
 from tonnetzlab.transforms import (
-    NeoRiemannianOp,
+    NR_OPS,
     annotate_progression,
     apply_nr,
     classify_move,
@@ -28,38 +37,38 @@ def _oracle_distance(a: Triad, b: Triad) -> int:
 
 
 def test_parallel_example():
-    assert apply_nr(NeoRiemannianOp.P, Triad(D, Quality.MAJOR)) == Triad(
+    assert apply_nr("P", Triad(D, Quality.MAJOR)) == Triad(
         D, Quality.MINOR
     )
 
 
 def test_relative_example():
-    assert apply_nr(NeoRiemannianOp.R, Triad(A, Quality.MAJOR)) == Triad(
+    assert apply_nr("R", Triad(A, Quality.MAJOR)) == Triad(
         FS, Quality.MINOR
     )
 
 
 def test_nebenverwandt_example():
-    assert apply_nr(NeoRiemannianOp.N, Triad(D, Quality.MINOR)) == Triad(
+    assert apply_nr("N", Triad(D, Quality.MINOR)) == Triad(
         A, Quality.MAJOR
     )
 
 
 def test_leittonwechsel_relates_f_sharp_minor_and_d_major():
-    assert apply_nr(NeoRiemannianOp.L, Triad(FS, Quality.MINOR)) == Triad(
+    assert apply_nr("L", Triad(FS, Quality.MINOR)) == Triad(
         D, Quality.MAJOR
     )
 
 
 def test_all_ops_are_quality_toggling_involutions():
-    for op, triad in itertools.product(NeoRiemannianOp, ALL_TRIADS):
+    for op, triad in itertools.product(NR_OPS, ALL_TRIADS):
         image = apply_nr(op, triad)
         assert image.quality is not triad.quality
         assert apply_nr(op, image) == triad
 
 
 def test_named_ops_preserve_a_common_tone():
-    for op, triad in itertools.product(NeoRiemannianOp, ALL_TRIADS):
+    for op, triad in itertools.product(NR_OPS, ALL_TRIADS):
         image = apply_nr(op, triad)
         assert _triad_tones(triad) & _triad_tones(image)
         assert tonnetz_distance(triad, image) == 1
@@ -132,7 +141,7 @@ def test_classify_generic_single():
 
 def test_classify_named_parallel():
     move = classify_move(parse_chord_symbol("D"), parse_chord_symbol("d"))
-    assert (move.kind, move.nr_name) == ("single", NeoRiemannianOp.P)
+    assert (move.kind, move.nr_name) == ("single", "P")
 
 
 def test_classify_double():
@@ -154,14 +163,14 @@ def test_classify_arity_is_symmetric():
 def test_relative_applies_in_both_directions():
     forward = classify_move(parse_chord_symbol("A"), parse_chord_symbol("f#"))
     back = classify_move(parse_chord_symbol("f#"), parse_chord_symbol("A"))
-    assert forward.nr_name is NeoRiemannianOp.R
-    assert back.nr_name is NeoRiemannianOp.R
+    assert forward.nr_name == "R"
+    assert back.nr_name == "R"
 
 
 def test_annotate_single_chord_has_no_moves():
     annotation = annotate_progression([parse_chord_symbol("A")], A)
     assert annotation.moves == ()
-    assert [label.text for label in annotation.roman] == ["I"]
+    assert annotation.roman == ("I",)
     assert annotate_progression([], A).moves == ()
 
 
@@ -182,3 +191,42 @@ def test_annotate_move_count_is_chords_minus_one():
     annotation = annotate_progression(chords, A)
     assert len(annotation.moves) == len(chords) - 1
     assert len(annotation.roman) == len(chords)
+
+
+def _cadences_by_chord_fields(chords, key):
+    """IV-iv-I with a tonic that has no seventh, and V-vi, read off roots and
+    qualities: a reference that never looks at a Roman label."""
+
+    def on(chord, interval, quality):
+        return (chord.root - key) % 12 == interval and chord.quality is quality
+
+    found = []
+    for i in range(len(chords)):
+        if (
+            i + 3 <= len(chords)
+            and on(chords[i], 5, Quality.MAJOR)
+            and on(chords[i + 1], 5, Quality.MINOR)
+            and on(chords[i + 2], 0, Quality.MAJOR)
+            and chords[i + 2].embellishment != "7"
+        ):
+            found.append(("plagal_mixture", i, 3))
+        if (
+            i + 2 <= len(chords)
+            and on(chords[i], 7, Quality.MAJOR)
+            and on(chords[i + 1], 9, Quality.MINOR)
+        ):
+            found.append(("deceptive", i, 2))
+    return found
+
+
+# intervals above the key: mostly those the two cadences are made of
+_INTERVALS = st.sampled_from((0, 5, 7, 9)) | st.integers(0, 11)
+_CHORDS = st.tuples(_INTERVALS, st.sampled_from(Quality), st.sampled_from(("", "6", "7")))
+
+
+@given(st.integers(0, 11), st.lists(_CHORDS, max_size=12))
+def test_cadences_match_the_chord_field_reference(key, fields):
+    chords = [ChordSymbol((key + i) % 12, q, emb) for i, q, emb in fields]
+    cadences = annotate_progression(chords, key).cadences
+    got = [(c.kind, c.start, c.length) for c in cadences]
+    assert got == _cadences_by_chord_fields(chords, key)
