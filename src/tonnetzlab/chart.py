@@ -249,13 +249,13 @@ def flatten(section: Section) -> list[TimedChord]:
     return out
 
 
-def progression(section: Section) -> list[ChordSymbol]:
-    """Chord sequence with consecutive duplicates collapsed.
+def progression(timed_chords: list[TimedChord]) -> list[ChordSymbol]:
+    """Chord sequence of ``flatten``'s output with consecutive duplicates collapsed.
 
     A chord held (or restruck) across a barline is one progression element.
     """
     out: list[ChordSymbol] = []
-    for timed in flatten(section):
+    for timed in timed_chords:
         if not out or out[-1] != timed.symbol:
             out.append(timed.symbol)
     return out

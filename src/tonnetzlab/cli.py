@@ -112,7 +112,8 @@ def _rhythm_json(report: SubstructureReport) -> dict:
 
 
 def _section_json(section: Section, key: PitchClass, meter: int) -> dict:
-    chords = progression(section)
+    timed = flatten(section)
+    chords = progression(timed)
     entry: dict = {
         "name": section.name,
         "progression": [c.display for c in chords],
@@ -128,7 +129,7 @@ def _section_json(section: Section, key: PitchClass, meter: int) -> dict:
         ]
         if any("♭VII" in label for label in annotation.roman):
             notes.append(FLAT_SEVEN_NOTE)
-    substructures = detect_substructures(clocks_for(flatten(section), meter))
+    substructures = detect_substructures(clocks_for(timed, meter))
     entry["rhythm"] = _rhythm_json(substructures)
     if notes:
         entry["notes"] = notes
@@ -191,7 +192,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_render_tonnetz(args: argparse.Namespace) -> int:
     doc = _read_chart(args.chart)
     section = _get_section(doc, args.section)
-    svg = render_tonnetz_svg(embed_path(progression(section), doc.key), doc.key)
+    chords = progression(flatten(section))
+    svg = render_tonnetz_svg(embed_path(chords, doc.key), doc.key)
     _write_text(args.out, svg)
     return 0
 

@@ -15,18 +15,18 @@ instances; placements pick the instance nearest a target point, breaking exact
 ties toward the smallest (x, then y) root coordinate so results are
 deterministic.
 
-The search covers a window of 17 rows by 33 columns of root hexagons around
-the target, but visits only the hexagons that hold the triad's root: as 7 is
-its own inverse mod 12, those of row y are the x with
-x = 7 (root - anchor - 4y) (mod 12), every twelfth column, about 47 of the
-561. Each candidate's point is computed inline with the same float
-operations, in the same order, as the mean of its three ``hex_center``
-points, so the chosen instance and its point are exactly those a scan of the
-whole window gives. The key that decides is (squared distance rounded to 9
-decimals, x, y), but only the candidates within 1e-9 of the smallest squared
-distance are rounded: rounding is monotone, so the rounded minimum is the
-rounding of the minimum, and two distances that round to the same 9 decimals
-lie less than 1e-9 apart.
+A triad's instances are the roots with 7x + 4y = root - anchor (mod 12). They
+repeat along the steps (0, 3) and (-4, 1), 3 and sqrt(13) spacings long, with
+a sum 4 long; that triangle is acute, so every target lies within its
+circumradius R = 2.082 of an instance. A triad point's y is
+(y +- 1/3) * sqrt(3)/2 and R / (sqrt(3)/2) + 1/3 + 1/2 < 4, so its root lies
+within 3 rows of the target's row. In a row the instances are 12 columns apart
+with points at x + y/2 + 1/2, so only the one nearest the target in x can lie
+within R: the search evaluates these seven candidates. Each candidate's point
+is computed inline with the same float operations, in the same order, as the
+mean of its three ``hex_center`` points, so the chosen instance and its point
+are exactly those a scan of any wider window gives. The key that decides is
+(squared distance rounded to 9 decimals, x, y), and its ties lie within R.
 
 The SVG writes every number with two decimals. A honeycomb corner's y depends
 only on its row and its x only on the hexagon center's x, which repeats every
@@ -51,8 +51,6 @@ Point = tuple[float, float]
 _SQRT3_2 = math.sqrt(3.0) / 2.0
 HEX_SIZE = 60.0  # hexagon center spacing in SVG user units
 MARGIN = 1  # extra hexagon rings around the path's bounding box
-# squared distances that round to the same 9 decimals differ by less than this
-_TIE_SPAN = 1e-9
 
 
 def node_pitch_class(coord: LatticeCoord, anchor: PitchClass) -> PitchClass:
@@ -91,35 +89,23 @@ def place_triad(
     distance ties break toward the smallest (x, then y) root coordinate.
     """
     target_x, target_y = near if near is not None else (0.0, 0.0)
-    ty = int(round(target_y / _SQRT3_2))
-    tx = int(round(target_x - ty / 2.0))
+    ty = round(target_y / _SQRT3_2)
     # the third hexagon sits at (x + dx3, y + dy3)
     dx3, dy3 = triad_hexes(triad, (0, 0))[2]
-    x_lo, x_hi = tx - 16, tx + 17
-    nearest = math.inf
-    near_candidates: list[tuple[float, int, int, float, float]] = []
-    for y in range(ty - 8, ty + 9):
-        # 7x + 4y + anchor = root (mod 12), and 7 is its own inverse mod 12
-        x_first = x_lo + (7 * (triad.root - anchor - 4 * y) - x_lo) % 12
+    candidates = []
+    for y in range(ty - 3, ty + 4):
         half, half3 = y / 2.0, (y + dy3) / 2.0
+        # 7x + 4y + anchor = root (mod 12), and 7 is its own inverse mod 12;
+        # of those x, the one whose point x + y/2 + 1/2 lies nearest the target
+        k = 7 * (triad.root - anchor - 4 * y) % 12
+        x = k + 12 * round((target_x - half - 0.5 - k) / 12)
         row = y * _SQRT3_2
         # the centroid of the three hexagon centers, summed in hexes order
+        px = (((x + half) + ((x + 1) + half)) + ((x + dx3) + half3)) / 3
         py = ((row + row) + (y + dy3) * _SQRT3_2) / 3
-        dy2 = (py - target_y) ** 2
-        for x in range(x_first, x_hi, 12):
-            px = (((x + half) + ((x + 1) + half)) + ((x + dx3) + half3)) / 3
-            d2 = (px - target_x) ** 2 + dy2
-            if d2 <= nearest + _TIE_SPAN:
-                near_candidates.append((d2, x, y, px, py))
-                if d2 < nearest:
-                    nearest = d2
-    # the key (round(d2, 9), x, y) decides; only candidates this close to the
-    # smallest distance can round to its rounded value
-    _, x, y, px, py = min(
-        (round(d2, 9), x, y, px, py)
-        for d2, x, y, px, py in near_candidates
-        if d2 <= nearest + _TIE_SPAN
-    )
+        d2 = (px - target_x) ** 2 + (py - target_y) ** 2
+        candidates.append((round(d2, 9), x, y, px, py))
+    _, x, y, px, py = min(candidates)
     return TriadPlacement(triad, triad_hexes(triad, (x, y)), (px, py))
 
 

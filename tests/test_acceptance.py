@@ -40,7 +40,7 @@ A_KEY = 9  # tonic pitch class of A major
 
 
 def _moves(chart, section):
-    chords = progression(chart.sections[section])
+    chords = progression(flatten(chart.sections[section]))
     return annotate_progression(chords, chart.key).moves
 
 
@@ -109,12 +109,12 @@ def test_criterion_3_roman_numerals_and_cadences(lead_chart, recorded_chart):
         assert roman_numeral(parse_chord_symbol(token), A_KEY) == expected
 
     lead_verse = annotate_progression(
-        progression(lead_chart.sections["Verse"]), lead_chart.key
+        progression(flatten(lead_chart.sections["Verse"])), lead_chart.key
     )
     assert any(c.kind == "plagal_mixture" for c in lead_verse.cadences)
 
     recorded_verse = annotate_progression(
-        progression(recorded_chart.sections["Verse"]), recorded_chart.key
+        progression(flatten(recorded_chart.sections["Verse"])), recorded_chart.key
     )
     assert any(c.kind == "deceptive" for c in recorded_verse.cadences)
     print("\nACCEPTANCE 3 PASS - Roman labels exact; both cadence patterns flagged")
@@ -229,14 +229,16 @@ def test_criterion_9_rendering_contracts(lead_chart, recorded_chart):
     for chart in (lead_chart, recorded_chart):
         for name in dict.fromkeys(chart.form):
             section = chart.sections[name]
-            placements = embed_path(progression(section), chart.key)
+            placements = embed_path(progression(flatten(section)), chart.key)
             svgs.append(render_tonnetz_svg(placements, chart.key))
             report = detect_substructures(clocks_for(flatten(section), chart.meter))
             svgs.extend(render_clock_svg(c) for c in report.distinct_clocks)
     for svg in svgs:
         ET.fromstring(svg)  # well-formed XML
 
-    placements = embed_path(progression(lead_chart.sections["Verse"]), lead_chart.key)
+    placements = embed_path(
+        progression(flatten(lead_chart.sections["Verse"])), lead_chart.key
+    )
     first = render_tonnetz_svg(placements, lead_chart.key)
     second = render_tonnetz_svg(placements, lead_chart.key)
     assert first == second

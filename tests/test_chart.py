@@ -259,11 +259,11 @@ def test_flatten_preserves_total_duration(lead_chart):
 
 def test_progression_collapses_repeats():
     doc = parse_chart(_chart("A | A"))
-    assert [c.display for c in progression(doc.sections["Main"])] == ["A"]
+    assert [c.display for c in progression(flatten(doc.sections["Main"]))] == ["A"]
 
 
 def test_progression_of_verse(lead_chart):
-    chain = [c.display for c in progression(lead_chart.sections["Verse"])]
+    chain = [c.display for c in progression(flatten(lead_chart.sections["Verse"]))]
     assert chain == [
         "A", "E7", "A", "E7", "A", "f#", "A7", "D", "d", "A",
         "f#", "A7", "D", "d", "A",
@@ -271,7 +271,7 @@ def test_progression_of_verse(lead_chart):
 
 
 def test_progression_of_coda(lead_chart):
-    chain = [c.display for c in progression(lead_chart.sections["Coda"])]
+    chain = [c.display for c in progression(flatten(lead_chart.sections["Coda"]))]
     assert chain == ["A", "E7", "d", "A", "E7", "A"]
 
 
@@ -279,7 +279,7 @@ def test_progression_never_longer_than_flatten(lead_chart, recorded_chart):
     for doc in (lead_chart, recorded_chart):
         for section in doc.sections.values():
             timed = flatten(section)
-            chain = progression(section)
+            chain = progression(flatten(section))
             assert len(chain) <= len(timed)
             has_repeat = any(
                 a.symbol == b.symbol for a, b in zip(timed, timed[1:])
@@ -288,7 +288,7 @@ def test_progression_never_longer_than_flatten(lead_chart, recorded_chart):
 
 
 def test_second_verse_variant_drops_one_alternation(lead_chart):
-    verse2 = [c.display for c in progression(lead_chart.sections["Verse2"])]
+    verse2 = [c.display for c in progression(flatten(lead_chart.sections["Verse2"]))]
     assert verse2 == [
         "A", "E7", "A", "f#", "A7", "D", "d", "A", "f#", "A7", "D", "d", "A",
     ]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import random
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -111,9 +112,11 @@ def test_common_tone_neighbors_share_a_hexagon():
 
 
 def test_verse_path_circles_the_anchor_hexagon(lead_chart):
-    from tonnetzlab.chart import progression
+    from tonnetzlab.chart import flatten, progression
 
-    placements = embed_path(progression(lead_chart.sections["Verse"]), anchor=A)
+    placements = embed_path(
+        progression(flatten(lead_chart.sections["Verse"])), anchor=A
+    )
     touching = {p.triad for p in placements if (0, 0) in p.hexes}
     expected = {
         Triad(A, Quality.MAJOR),
@@ -125,9 +128,9 @@ def test_verse_path_circles_the_anchor_hexagon(lead_chart):
 
 
 def test_coda_embedding_reuses_placements(lead_chart):
-    from tonnetzlab.chart import progression
+    from tonnetzlab.chart import flatten, progression
 
-    placements = embed_path(progression(lead_chart.sections["Coda"]), anchor=A)
+    placements = embed_path(progression(flatten(lead_chart.sections["Coda"])), anchor=A)
     assert len(placements) == 6
     # greedy chaining brings A, E and d back to the same instances
     assert len({p.point for p in placements}) == 3
@@ -172,17 +175,17 @@ def _arrow_groups(svg: str) -> list[ET.Element]:
 
 
 def test_render_verse_arrow_count(lead_chart):
-    from tonnetzlab.chart import progression
+    from tonnetzlab.chart import flatten, progression
 
-    chords = progression(lead_chart.sections["Verse"])
+    chords = progression(flatten(lead_chart.sections["Verse"]))
     svg = render_tonnetz_svg(embed_path(chords, anchor=A), anchor=A)
     assert len(_arrow_groups(svg)) == len(chords) - 1 == 14
 
 
 def test_render_double_moves_get_double_class(lead_chart):
-    from tonnetzlab.chart import progression
+    from tonnetzlab.chart import flatten, progression
 
-    chords = progression(lead_chart.sections["Coda"])
+    chords = progression(flatten(lead_chart.sections["Coda"]))
     svg = render_tonnetz_svg(embed_path(chords, anchor=A), anchor=A)
     doubles = [
         el
@@ -201,9 +204,11 @@ def test_render_single_placement():
 
 
 def test_render_is_well_formed_and_deterministic(lead_chart):
-    from tonnetzlab.chart import progression
+    from tonnetzlab.chart import flatten, progression
 
-    placements = embed_path(progression(lead_chart.sections["Bridge"]), anchor=A)
+    placements = embed_path(
+        progression(flatten(lead_chart.sections["Bridge"])), anchor=A
+    )
     first = render_tonnetz_svg(placements, anchor=A)
     second = render_tonnetz_svg(placements, anchor=A)
     assert first == second
@@ -391,18 +396,58 @@ def test_tie_targets_hold_exact_ties():
     assert ties > len(ALL_TRIADS) * len(_TIE_TARGETS) // 10
 
 
+_TARGET_COORD = st.one_of(
+    st.floats(-50, 50, allow_nan=False), st.floats(-1e6, 1e6, allow_nan=False)
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.sampled_from(ALL_TRIADS),
     st.integers(0, 11),
-    st.tuples(
-        st.floats(-50, 50, allow_nan=False), st.floats(-50, 50, allow_nan=False)
-    ),
+    st.tuples(_TARGET_COORD, _TARGET_COORD),
 )
 def test_place_triad_matches_the_full_scan_on_random_targets(triad, anchor, near):
     want = place_triad_reference(triad, near, anchor)
     got = place_triad(triad, near, anchor)
     assert (got.hexes, got.point) == (want.hexes, want.point)
+
+
+def test_embed_path_matches_the_full_scan_along_a_drifting_path():
+    # a long walk drifts far from the origin; each step of the reference
+    # chain is placed nearest the previous reference point
+    rng = random.Random(19)
+    triads = [rng.choice(ALL_TRIADS)]
+    while len(triads) < 2000:
+        triad = rng.choice(ALL_TRIADS)
+        if triad != triads[-1]:
+            triads.append(triad)
+    want = [place_triad_reference(triads[0], None, A)]
+    for triad in triads[1:]:
+        want.append(place_triad_reference(triad, want[-1].point, A))
+    chords = [ChordSymbol(t.root, t.quality) for t in triads]
+    assert embed_path(chords, A) == tuple(want)
+
+
+# the root coordinates of a triad's instances repeat along these two steps
+_PERIOD_CELL = (hex_center((0, 3)), hex_center((-4, 1)))
+
+
+@pytest.mark.parametrize("shift", [(0.0, 0.0), (987654.321, -123456.789)])
+@pytest.mark.parametrize("anchor", range(12))
+def test_nearest_instance_lies_within_the_covering_radius(anchor, shift):
+    # The steps are 3 and sqrt(13) spacings long and their sum 4: an acute
+    # triangle, whose circumradius, about 2.082, is the lattice's covering
+    # radius. A point's y is (y +- 1/3) * sqrt(3)/2, so the nearest instance
+    # lies within 3 rows of the target's row, the rows place_triad searches.
+    (ax, ay), (bx, by) = _PERIOD_CELL
+    for i, j in itertools.product(range(4), repeat=2):
+        near = (shift[0] + (i * ax + j * bx) / 4, shift[1] + (i * ay + j * by) / 4)
+        row = round(near[1] / _SQRT3_2)
+        for triad in ALL_TRIADS:
+            placement = place_triad_reference(triad, near, anchor)
+            assert abs(placement.hexes[0][1] - row) <= 3, (triad, near)
+            assert math.dist(placement.point, near) <= 2.09, (triad, near)
 
 
 CHARTS = Path(__file__).resolve().parents[1] / "charts"
