@@ -2,6 +2,8 @@
 
 Pitch classes are integers 0-11 with C = 0; all interval arithmetic is mod 12.
 Only major keys are supported, so a key is its tonic pitch class.
+A triad is a root pitch class plus one bit, ``minor``: each neo-Riemannian
+operation maps a triad to one of the other mode.
 Chord symbols follow lead-sheet conventions: an uppercase root letter means a
 major triad, a lowercase one a minor triad ("m" suffix is also accepted), an
 optional 6 or 7 adds an embellishment tone, and "/X" names a bass note that
@@ -11,7 +13,6 @@ original token is kept on the symbol for display.
 
 from __future__ import annotations
 
-import enum
 from typing import NamedTuple
 
 from .errors import TonnetzlabError, excerpt
@@ -29,11 +30,6 @@ _FLAT_CHARS = "b♭"  # 'b' and '♭'
 _NUMERALS = (
     "I", "♭II", "II", "♭III", "III", "IV", "♭V", "V", "♭VI", "VI", "♭VII", "VII"
 )
-
-
-class Quality(enum.Enum):
-    MAJOR = "major"
-    MINOR = "minor"
 
 
 def pitch_class_name(pc: PitchClass) -> str:
@@ -56,23 +52,23 @@ def parse_pitch_class(text: str) -> PitchClass:
 
 @record
 class Triad(NamedTuple):
-    """A major or minor triad reduced to its root pitch class and quality."""
+    """A major or minor triad reduced to its root pitch class and mode."""
 
     root: PitchClass
-    quality: Quality
+    minor: bool
 
     def pitch_classes(self) -> frozenset[PitchClass]:
-        third = 4 if self.quality is Quality.MAJOR else 3
+        third = 3 if self.minor else 4
         return frozenset({self.root, (self.root + third) % 12, (self.root + 7) % 12})
 
     @property
     def name(self) -> str:
         base = pitch_class_name(self.root)
-        return base if self.quality is Quality.MAJOR else base.lower()
+        return base.lower() if self.minor else base
 
 
 ALL_TRIADS = tuple(
-    Triad(root, quality) for quality in Quality for root in range(12)
+    Triad(root, minor) for minor in (False, True) for root in range(12)
 )
 
 
@@ -86,7 +82,7 @@ class ChordSymbol(NamedTuple):
     """
 
     root: PitchClass
-    quality: Quality
+    minor: bool
     embellishment: str = ""  # "", "6" or "7"
     bass: PitchClass | None = None
     text: str = ""
@@ -98,11 +94,8 @@ class ChordSymbol(NamedTuple):
         return hash(self[:4])
 
     def canonical(self) -> str:
-        """Canonical token: sharp-preferred root, case encodes quality."""
-        name = pitch_class_name(self.root)
-        if self.quality is Quality.MINOR:
-            name = name.lower()
-        out = name + self.embellishment
+        """Canonical token: the triad's name, then embellishment and bass."""
+        out = triad_of(self).name + self.embellishment
         if self.bass is not None:
             out += "/" + pitch_class_name(self.bass)
         return out
@@ -123,7 +116,7 @@ def parse_chord_symbol(token: str) -> ChordSymbol:
     letter = token[0]
     if letter.upper() not in _LETTER_PCS:
         raise TonnetzlabError(f"unknown root letter {letter!r} in {excerpt(token)}")
-    quality = Quality.MAJOR if letter.isupper() else Quality.MINOR
+    minor = letter.islower()
     root = _LETTER_PCS[letter.upper()]
     rest = token[1:]
 
@@ -136,7 +129,7 @@ def parse_chord_symbol(token: str) -> ChordSymbol:
 
     # explicit minor suffix, tolerated on either letter case
     if rest.startswith("m"):
-        quality = Quality.MINOR
+        minor = True
         rest = rest[1:]
 
     embellishment = ""
@@ -151,7 +144,7 @@ def parse_chord_symbol(token: str) -> ChordSymbol:
     if rest:
         raise TonnetzlabError(f"unexpected {excerpt(rest)} at end of {excerpt(token)}")
 
-    symbol = ChordSymbol(root, quality, embellishment, bass, text=token)
+    symbol = ChordSymbol(root, minor, embellishment, bass, text=token)
     if bass is not None and bass not in pitch_class_set(symbol):
         raise TonnetzlabError(
             f"bass {pitch_class_name(bass)} is not a tone of {excerpt(token)}"
@@ -161,13 +154,13 @@ def parse_chord_symbol(token: str) -> ChordSymbol:
 
 def triad_of(symbol: ChordSymbol) -> Triad:
     """Underlying triad of a chord: embellishment and bass are dropped."""
-    return Triad(symbol.root, symbol.quality)
+    return Triad(symbol.root, symbol.minor)
 
 
 def pitch_class_set(symbol: ChordSymbol) -> frozenset[PitchClass]:
     """Full pitch-class set: triad tones plus the embellishment tone.
 
-    A seventh adds root+10 (dominant/minor seventh) for either quality; a
+    A seventh adds root+10 (dominant/minor seventh) for either mode; a
     sixth adds root+9.
     """
     tones = set(triad_of(symbol).pitch_classes())
@@ -193,9 +186,9 @@ def roman_numeral(symbol: ChordSymbol, key: PitchClass) -> str:
     labelled V7/IV, the secondary dominant of the subdominant.
     """
     interval = (symbol.root - key) % 12
-    if (interval, symbol.quality, symbol.embellishment) == (0, Quality.MAJOR, "7"):
+    if (interval, symbol.minor, symbol.embellishment) == (0, False, "7"):
         return "V7/IV"
     numeral = _NUMERALS[interval]
-    if symbol.quality is Quality.MINOR:
+    if symbol.minor:
         numeral = numeral.lower()
     return numeral + symbol.embellishment

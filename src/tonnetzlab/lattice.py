@@ -41,7 +41,7 @@ import math
 from typing import Iterable, NamedTuple
 
 from .errors import TonnetzlabError
-from .harmony import ChordSymbol, PitchClass, Quality, Triad, pitch_class_name, triad_of
+from .harmony import ChordSymbol, PitchClass, Triad, pitch_class_name, triad_of
 from .record import record
 from .transforms import tonnetz_distance
 
@@ -66,9 +66,9 @@ def hex_center(coord: LatticeCoord) -> Point:
 
 def triad_hexes(triad: Triad, root_coord: LatticeCoord) -> tuple[LatticeCoord, ...]:
     x, y = root_coord
-    if triad.quality is Quality.MAJOR:
-        return ((x, y), (x + 1, y), (x, y + 1))
-    return ((x, y), (x + 1, y), (x + 1, y - 1))
+    if triad.minor:
+        return ((x, y), (x + 1, y), (x + 1, y - 1))
+    return ((x, y), (x + 1, y), (x, y + 1))
 
 
 @record

@@ -144,12 +144,13 @@ def _alternation_runs(seq: tuple[int, ...]) -> tuple[Alternation, ...]:
 def detect_substructures(clocks: list[RhythmClock]) -> SubstructureReport:
     """Group windows by identical clocks and describe how they recur.
 
-    Clocks are distinct when either their hour sets or their label sequences
-    differ (the same rhythm over different chords is a different
-    substructure). Reflections through the mirror from hour 0 to the opposite
-    hour are reported for distinct pairs, comparing hour sets only: each
-    clock's mirror image is looked up among the clocks indexed by hour set, so
-    the work is linear in the clocks plus the pairs found.
+    Clocks are distinct when any of their fields differ: the onsets' hours or
+    chord labels (the same rhythm over different chords is a different
+    substructure), the cycle, or whether the window is partial. Reflections
+    through the mirror from hour 0 to the opposite hour are reported for
+    distinct pairs, comparing hour sets only: each clock's mirror image is
+    looked up among the clocks indexed by hour set, so the work is linear in
+    the clocks plus the pairs found.
     """
     position: dict[RhythmClock, int] = {}
     occurrence = [position.setdefault(clock, len(position)) for clock in clocks]

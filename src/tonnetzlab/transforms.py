@@ -16,31 +16,20 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .harmony import ChordSymbol, PitchClass, Quality, Triad, roman_numeral, triad_of
+from .harmony import ChordSymbol, PitchClass, Triad, roman_numeral, triad_of
 from .record import record
 
-# P parallel: same root, toggled quality; L leittonwechsel; R relative;
-# N nebenverwandt: major key to its minor subdominant and back
+# P parallel, L leittonwechsel, R relative, N nebenverwandt (a major key to its
+# minor subdominant and back): each maps a triad to one of the other mode
 NR_OPS = "PLRN"
 
-# root offset applied by each operation, keyed by (op, source quality)
-_NR_ROOT_SHIFT = {
-    ("P", Quality.MAJOR): 0,
-    ("P", Quality.MINOR): 0,
-    ("R", Quality.MAJOR): 9,
-    ("R", Quality.MINOR): 3,
-    ("L", Quality.MAJOR): 4,
-    ("L", Quality.MINOR): 8,
-    ("N", Quality.MAJOR): 5,
-    ("N", Quality.MINOR): 7,
-}
+# root offset of each operation from a (major, minor) source, indexed by minor
+_NR_ROOT_SHIFT = {"P": (0, 0), "R": (9, 3), "L": (4, 8), "N": (5, 7)}
 
 
 def apply_nr(op: str, t: Triad) -> Triad:
-    """Apply operation ``op``, a letter of ``NR_OPS``; each toggles triad quality."""
-    shift = _NR_ROOT_SHIFT[(op, t.quality)]
-    quality = Quality.MINOR if t.quality is Quality.MAJOR else Quality.MAJOR
-    return Triad((t.root + shift) % 12, quality)
+    """Apply operation ``op``, a letter of ``NR_OPS``; each toggles the mode."""
+    return Triad((t.root + _NR_ROOT_SHIFT[op][t.minor]) % 12, not t.minor)
 
 
 def tonnetz_distance(a: Triad, b: Triad) -> int:
@@ -80,7 +69,7 @@ def classify_move(a: ChordSymbol, b: ChordSymbol) -> TonnetzMove:
     """
     ta, tb = triad_of(a), triad_of(b)
     arity = tonnetz_distance(ta, tb)
-    nr_name = None  # every operation changes the quality, so none names arity 0
+    nr_name = None  # every operation changes the mode, so none names arity 0
     for op in NR_OPS:
         if apply_nr(op, ta) == tb:
             nr_name = op

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from tonnetzlab.chroma.wavio import AudioBuffer
-from tonnetzlab.harmony import ChordSymbol, Quality
+from tonnetzlab.harmony import ChordSymbol
 
 
 def midi_frequency(note: float) -> float:
@@ -51,7 +51,7 @@ def tone(
 def chord_midi_notes(symbol: ChordSymbol) -> list[int]:
     """Root-position voicing starting at octave 3 (A major -> A3, C#4, E4)."""
     root = 48 + symbol.root
-    intervals = [0, 4 if symbol.quality is Quality.MAJOR else 3, 7]
+    intervals = [0, 3 if symbol.minor else 4, 7]
     if symbol.embellishment == "7":
         intervals.append(10)
     elif symbol.embellishment == "6":

@@ -21,7 +21,6 @@ from tonnetzlab.chroma.nnls import nnls_activations_batch, nnls_residual_history
 from tonnetzlab.chroma.wavio import AudioBuffer
 from tonnetzlab.harmony import (
     ALL_TRIADS,
-    Quality,
     Triad,
     common_tones,
     parse_chord_symbol,
@@ -126,8 +125,8 @@ def test_criterion_4_distance_oracle():
     def oracle(a: Triad, b: Triad) -> int:
         if a == b:
             return 0
-        third_a = 4 if a.quality is Quality.MAJOR else 3
-        third_b = 4 if b.quality is Quality.MAJOR else 3
+        third_a = 3 if a.minor else 4
+        third_b = 3 if b.minor else 4
         set_a = {a.root % 12, (a.root + third_a) % 12, (a.root + 7) % 12}
         set_b = {b.root % 12, (b.root + third_b) % 12, (b.root + 7) % 12}
         return 1 if set_a & set_b else 2

@@ -19,7 +19,7 @@ from tonnetzlab.chart import (
 )
 from tonnetzlab.cli import main
 from tonnetzlab.errors import TonnetzlabError
-from tonnetzlab.harmony import ChordSymbol, Quality, pitch_class_set
+from tonnetzlab.harmony import ChordSymbol, pitch_class_set
 from tonnetzlab.rhythm import clocks_for
 
 MINIMAL_HEADER = "key: A\nmeter: 4/4\nform: Main\n"
@@ -307,11 +307,11 @@ def _chords(draw) -> ChordSymbol:
     """Any major or minor triad, with or without a 6 or 7, with or without a bass."""
     plain = ChordSymbol(
         draw(st.integers(0, 11)),
-        draw(st.sampled_from(Quality)),
+        draw(st.booleans()),
         draw(st.sampled_from(("", "6", "7"))),
     )
     bass = draw(st.none() | st.sampled_from(sorted(pitch_class_set(plain))))
-    return ChordSymbol(plain.root, plain.quality, plain.embellishment, bass)
+    return ChordSymbol(plain.root, plain.minor, plain.embellishment, bass)
 
 
 @st.composite
@@ -383,7 +383,7 @@ def test_clocks_tile_generated_sections(doc):
 
 
 # argparse reads a lone "--" as the end of the options, even after "="
-_DASH_DASH = Section("--", ((ChordEvent(ChordSymbol(9, Quality.MAJOR), 4),),))
+_DASH_DASH = Section("--", ((ChordEvent(ChordSymbol(9, minor=False), 4),),))
 
 
 @settings(max_examples=25, deadline=None)

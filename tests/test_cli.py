@@ -318,12 +318,15 @@ def test_one_chord_section_is_one_circle_and_no_arrow(tmp_path):
          "analyze", "Verse"),
         (b"key: H\nmeter: 4/4\nform: Verse\n[Verse]\nA\n", "analyze", "Verse"),
         (b"key: A\nmeter: 4/4\nform: Verse\nkey: Bb\n[Verse]\nA\n", "analyze", "Verse"),
+        (b"key: A\nmeter: 4/4\nform: Verse\n[  ]\nA\n", "analyze", "Verse"),
+        (b"key: A\nmeter: 4/4\ntempo: 120\nform: Verse\n[Verse]\nA\n", "analyze", "Verse"),
     ],
     ids=["not-utf-8", "empty-section", "meter-13", "meter-over-4300-digits",
          "duration-over-4300-digits", "chord-of-5001-characters",
          "key-of-5000-characters", "section-flag-of-5000-characters",
          "section-of-5000-characters-redefined",
-         "section-of-5000-characters-short-measure", "key-H", "key-repeated"],
+         "section-of-5000-characters-short-measure", "key-H", "key-repeated",
+         "empty-section-name", "unknown-header"],
 )
 def test_unanalysable_chart_is_a_one_line_error(
     tmp_path, capsys, chart, command, section
@@ -339,6 +342,10 @@ def test_unanalysable_chart_is_a_one_line_error(
         assert err == "tonnetzlab: error: line 1: unknown note letter in 'H'\n"
     if b"key: Bb" in chart:
         assert err == "tonnetzlab: error: line 4: key repeated from line 1\n"
+    if b"[  ]" in chart:
+        assert err == "tonnetzlab: error: line 4: empty section name\n"
+    if b"tempo" in chart:
+        assert err == "tonnetzlab: error: line 3: unknown header 'tempo'\n"
 
 
 @pytest.mark.parametrize(
@@ -556,7 +563,15 @@ def _child_env(**extra: str) -> dict:
     """The environment of a child interpreter that imports this package."""
     src = str(Path(tonnetzlab.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return dict(os.environ, PYTHONPATH=path, **extra)
+    # dev mode and warnings as errors: pyproject's filterwarnings acts only in-process
+    return dict(
+        os.environ,
+        PYTHONPATH=path,
+        PYTHONDEVMODE="1",
+        PYTHONWARNINGS="error",
+        PYTHONWARNDEFAULTENCODING="1",
+        **extra,
+    )
 
 
 def test_only_chord_id_imports_numpy(lead_chart_path, tmp_path):
@@ -568,7 +583,7 @@ def test_only_chord_id_imports_numpy(lead_chart_path, tmp_path):
         [sys.executable, "-c", _IMPORT_PROBE, str(lead_chart_path), str(tmp_path), str(wav)],
         env=_child_env(), capture_output=True, text=True, timeout=120,
     )
-    assert done.returncode == 0, done.stderr
+    assert (done.returncode, done.stderr) == (0, "")
     numpy_before, slow_before, numpy_after, slow_after, loaded = done.stdout.splitlines()
     assert [numpy_before, numpy_after] == ["False", "True"]
     # dataclasses, and inspect with it, would add ~20 ms to every cold command
@@ -622,9 +637,12 @@ def test_stdout_is_utf8_whatever_the_locale(lead_chart_path, tmp_path, encoding,
     assert runs[1].stdout == out.read_bytes()
 
 
-def test_no_module_imports_dataclasses():
+@pytest.mark.parametrize("module", ["dataclasses", "enum"])
+def test_no_module_imports(module):
+    # a source grep: re imports enum, so sys.modules cannot show what the package imports
     package = Path(tonnetzlab.__file__).resolve().parent
-    imports = re.compile(r"^\s*(from\s+dataclasses\b|import\s.*\bdataclasses\b)", re.M)
+    name = re.escape(module)
+    imports = re.compile(rf"^\s*(from\s+{name}\b|import\s.*\b{name}\b)", re.M)
     found = [
         path.name
         for path in sorted(package.rglob("*.py"))

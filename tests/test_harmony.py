@@ -6,8 +6,9 @@ import pytest
 
 from tonnetzlab.errors import TonnetzlabError
 from tonnetzlab.harmony import (
+    ALL_TRIADS,
+    NOTE_NAMES,
     ChordSymbol,
-    Quality,
     Triad,
     common_tones,
     parse_chord_symbol,
@@ -21,9 +22,9 @@ A, B, CS, D, E, F, FS, G, GS = 9, 11, 1, 2, 4, 5, 6, 7, 8
 
 def test_parse_plain_major():
     sym = parse_chord_symbol("A")
-    assert (sym.root, sym.quality, sym.embellishment, sym.bass) == (
+    assert (sym.root, sym.minor, sym.embellishment, sym.bass) == (
         A,
-        Quality.MAJOR,
+        False,
         "",
         None,
     )
@@ -31,9 +32,9 @@ def test_parse_plain_major():
 
 def test_parse_minor_with_seventh():
     sym = parse_chord_symbol("f#7")
-    assert (sym.root, sym.quality, sym.embellishment, sym.bass) == (
+    assert (sym.root, sym.minor, sym.embellishment, sym.bass) == (
         FS,
-        Quality.MINOR,
+        True,
         "7",
         None,
     )
@@ -41,7 +42,7 @@ def test_parse_minor_with_seventh():
 
 def test_parse_slash_bass():
     sym = parse_chord_symbol("B/F#")
-    assert (sym.root, sym.quality, sym.bass) == (B, Quality.MAJOR, FS)
+    assert (sym.root, sym.minor, sym.bass) == (B, False, FS)
 
 
 def test_parse_unknown_root_letter():
@@ -56,7 +57,7 @@ def test_parse_unicode_accidentals():
 
 def test_parse_m_suffix_means_minor():
     sym = parse_chord_symbol("Am")
-    assert (sym.root, sym.quality) == (A, Quality.MINOR)
+    assert (sym.root, sym.minor) == (A, True)
     assert parse_chord_symbol("F#m7") == parse_chord_symbol("f#7")
 
 
@@ -83,10 +84,10 @@ def test_parse_empty_token():
 
 
 def test_triad_of_drops_embellishment_and_bass():
-    assert triad_of(parse_chord_symbol("E7")) == Triad(E, Quality.MAJOR)
-    assert triad_of(parse_chord_symbol("D6")) == Triad(D, Quality.MAJOR)
-    assert triad_of(parse_chord_symbol("B/F#")) == Triad(B, Quality.MAJOR)
-    assert triad_of(parse_chord_symbol("A")) == Triad(A, Quality.MAJOR)
+    assert triad_of(parse_chord_symbol("E7")) == Triad(E, minor=False)
+    assert triad_of(parse_chord_symbol("D6")) == Triad(D, minor=False)
+    assert triad_of(parse_chord_symbol("B/F#")) == Triad(B, minor=False)
+    assert triad_of(parse_chord_symbol("A")) == Triad(A, minor=False)
 
 
 def test_pitch_class_sets():
@@ -122,21 +123,27 @@ def test_common_tones_symmetric_and_self_inclusive():
 
 
 def test_triad_pitch_class_set_shape():
-    for triad in (Triad(r, q) for r in range(12) for q in Quality):
+    for triad in (Triad(r, q) for r in range(12) for q in (False, True)):
         tones = triad.pitch_classes()
         assert len(tones) == 3
         assert triad.root in tones
         assert (triad.root + 7) % 12 in tones
 
 
+def test_all_triads_are_the_majors_from_c_then_the_minors():
+    # chord-id's template indices and its smoothing over them follow this order
+    assert [t.name for t in ALL_TRIADS] == NOTE_NAMES + [n.lower() for n in NOTE_NAMES]
+    assert [t.minor for t in ALL_TRIADS] == [False] * 12 + [True] * 12
+
+
 def _all_canonical_symbols():
-    for root, quality, emb in itertools.product(
-        range(12), Quality, ("", "6", "7")
+    for root, minor, emb in itertools.product(
+        range(12), (False, True), ("", "6", "7")
     ):
-        base = ChordSymbol(root, quality, emb)
+        base = ChordSymbol(root, minor, emb)
         yield base
         for bass in sorted(pitch_class_set(base)):
-            yield ChordSymbol(root, quality, emb, bass)
+            yield ChordSymbol(root, minor, emb, bass)
 
 
 def test_parse_of_canonical_render_is_identity():
@@ -160,22 +167,22 @@ def test_roman_numeral_secondary_structure():
 
 def test_tonic_is_roman_one_in_every_key():
     for tonic in range(12):
-        label = roman_numeral(ChordSymbol(tonic, Quality.MAJOR), tonic)
+        label = roman_numeral(ChordSymbol(tonic, minor=False), tonic)
         assert label == "I"
 
 
 def test_every_pitch_class_gets_a_label():
     key = A
     for root in range(12):
-        for quality in Quality:
-            label = roman_numeral(ChordSymbol(root, quality), key)
+        for minor in (False, True):
+            label = roman_numeral(ChordSymbol(root, minor), key)
             assert label.lstrip("♭").upper() in ("I", "II", "III", "IV", "V", "VI", "VII")
 
 
 def test_non_diatonic_roots_get_flat_spelling_in_major():
     key = 0  # C major
     for root, expect in ((1, "♭II"), (3, "♭III"), (10, "♭VII")):
-        assert roman_numeral(ChordSymbol(root, Quality.MAJOR), key) == expect
+        assert roman_numeral(ChordSymbol(root, minor=False), key) == expect
 
 
 # The label of each interval above the key, as (major, major 6, major 7, minor,
@@ -201,7 +208,7 @@ def test_roman_numeral_table_in_every_key(key):
     for interval, labels in ROMAN_TABLE.items():
         root = (key + interval) % 12
         got = tuple(
-            roman_numeral(ChordSymbol(root, quality, emb), key)
-            for quality, emb in itertools.product(Quality, ("", "6", "7"))
+            roman_numeral(ChordSymbol(root, minor, emb), key)
+            for minor, emb in itertools.product((False, True), ("", "6", "7"))
         )
         assert got == labels, interval

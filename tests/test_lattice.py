@@ -18,7 +18,6 @@ from tonnetzlab.errors import TonnetzlabError
 from tonnetzlab.harmony import (
     ALL_TRIADS,
     ChordSymbol,
-    Quality,
     Triad,
     parse_chord_symbol,
     pitch_class_name,
@@ -58,20 +57,20 @@ def test_axis_rule_on_a_patch():
 
 
 def test_place_major_triad_at_origin():
-    placement = place_triad(Triad(A, Quality.MAJOR), anchor=A)
+    placement = place_triad(Triad(A, minor=False), anchor=A)
     assert set(placement.hexes) == {(0, 0), (1, 0), (0, 1)}
     assert {node_pitch_class(h, A) for h in placement.hexes} == {A, CS, E}
 
 
 def test_minor_subdominant_shares_the_anchor_hexagon():
-    a_major = place_triad(Triad(A, Quality.MAJOR), anchor=A)
-    d_minor = place_triad(Triad(D, Quality.MINOR), near=a_major.point, anchor=A)
+    a_major = place_triad(Triad(A, minor=False), anchor=A)
+    d_minor = place_triad(Triad(D, minor=True), near=a_major.point, anchor=A)
     assert (0, 0) in d_minor.hexes
 
 
 def test_placement_is_idempotent():
-    first = place_triad(Triad(FS, Quality.MINOR), near=(0.3, 0.1), anchor=A)
-    second = place_triad(Triad(FS, Quality.MINOR), near=(0.3, 0.1), anchor=A)
+    first = place_triad(Triad(FS, minor=True), near=(0.3, 0.1), anchor=A)
+    second = place_triad(Triad(FS, minor=True), near=(0.3, 0.1), anchor=A)
     assert first == second
 
 
@@ -83,7 +82,7 @@ def test_placement_hexes_spell_the_triad_everywhere():
 
 
 def test_placement_point_is_centroid_of_hex_centers():
-    placement = place_triad(Triad(D, Quality.MINOR), anchor=A)
+    placement = place_triad(Triad(D, minor=True), anchor=A)
     centers = [hex_center(h) for h in placement.hexes]
     assert placement.point[0] == pytest.approx(sum(c[0] for c in centers) / 3)
     assert placement.point[1] == pytest.approx(sum(c[1] for c in centers) / 3)
@@ -92,7 +91,7 @@ def test_placement_point_is_centroid_of_hex_centers():
 def test_placement_equivariant_under_lattice_period():
     # (12, 0) is a full period of the pitch-class pattern along the fifth axis
     period = hex_center((12, 0))
-    for triad in (Triad(A, Quality.MAJOR), Triad(D, Quality.MINOR)):
+    for triad in (Triad(A, minor=False), Triad(D, minor=True)):
         base = place_triad(triad, near=(0.7, 0.4), anchor=A)
         moved = place_triad(
             triad, near=(0.7 + period[0], 0.4 + period[1]), anchor=A
@@ -119,10 +118,10 @@ def test_verse_path_circles_the_anchor_hexagon(lead_chart):
     )
     touching = {p.triad for p in placements if (0, 0) in p.hexes}
     expected = {
-        Triad(A, Quality.MAJOR),
-        Triad(FS, Quality.MINOR),
-        Triad(D, Quality.MAJOR),
-        Triad(D, Quality.MINOR),
+        Triad(A, minor=False),
+        Triad(FS, minor=True),
+        Triad(D, minor=False),
+        Triad(D, minor=True),
     }
     assert touching == expected
 
@@ -149,7 +148,7 @@ def test_single_chord_embedding():
 
 
 _CHORDS = st.builds(
-    ChordSymbol, st.integers(0, 11), st.sampled_from(Quality), st.sampled_from(("", "6", "7"))
+    ChordSymbol, st.integers(0, 11), st.booleans(), st.sampled_from(("", "6", "7"))
 )
 
 
@@ -323,8 +322,8 @@ def _midpoint(p, q):
 # centers, triad points and the midpoints between neighbouring ones
 _CENTERS = [hex_center((x, y)) for y in (-1, 0, 1) for x in (-1, 0, 1)]
 _TRIAD_POINTS = [
-    _centroid(triad_hexes(Triad(0, quality), root))
-    for quality in Quality
+    _centroid(triad_hexes(Triad(0, minor), root))
+    for minor in (False, True)
     for root in ((0, 0), (1, -1), (-2, 1))
 ]
 _TIE_TARGETS = [
@@ -425,7 +424,7 @@ def test_embed_path_matches_the_full_scan_along_a_drifting_path():
     want = [place_triad_reference(triads[0], None, A)]
     for triad in triads[1:]:
         want.append(place_triad_reference(triad, want[-1].point, A))
-    chords = [ChordSymbol(t.root, t.quality) for t in triads]
+    chords = [ChordSymbol(t.root, t.minor) for t in triads]
     assert embed_path(chords, A) == tuple(want)
 
 

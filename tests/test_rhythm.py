@@ -266,6 +266,18 @@ def test_same_hours_different_chords_are_distinct_substructures():
     assert report.occurrence_sequence == (0, 1)
 
 
+def test_a_partial_clock_differs_from_a_whole_one_with_the_same_onsets():
+    doc = parse_chart("key: A\nmeter: 4/4\nform: Main\n[Main]\nA | ~A | A\n")
+    (main,) = build_report(doc)["sections"]
+    clocks = main["rhythm"]["distinct_clocks"]
+    assert [(c["onsets"], c["partial"]) for c in clocks] == [
+        ([[0, "A"]], False),
+        ([[0, "A"]], True),
+    ]
+    assert main["rhythm"]["occurrences"] == [0, 1]
+    assert main["rhythm"]["reflections"] == [{"clocks": [0, 1], "axis_hours": [0, 4]}]
+
+
 def _substructures_by_list_scan(clocks):
     """Distinct clocks, occurrences and reflecting pairs, found by scanning lists."""
     distinct, occurrence = [], []

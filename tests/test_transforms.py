@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from tonnetzlab.harmony import (
     ALL_TRIADS,
     ChordSymbol,
-    Quality,
     Triad,
     parse_chord_symbol,
 )
@@ -26,7 +25,7 @@ A, B, D, E, FS, G = 9, 11, 2, 4, 6, 7
 
 def _triad_tones(triad: Triad) -> set[int]:
     # independent oracle: raw interval arithmetic, no package set helpers
-    third = 4 if triad.quality is Quality.MAJOR else 3
+    third = 3 if triad.minor else 4
     return {triad.root % 12, (triad.root + third) % 12, (triad.root + 7) % 12}
 
 
@@ -37,33 +36,25 @@ def _oracle_distance(a: Triad, b: Triad) -> int:
 
 
 def test_parallel_example():
-    assert apply_nr("P", Triad(D, Quality.MAJOR)) == Triad(
-        D, Quality.MINOR
-    )
+    assert apply_nr("P", Triad(D, minor=False)) == Triad(D, minor=True)
 
 
 def test_relative_example():
-    assert apply_nr("R", Triad(A, Quality.MAJOR)) == Triad(
-        FS, Quality.MINOR
-    )
+    assert apply_nr("R", Triad(A, minor=False)) == Triad(FS, minor=True)
 
 
 def test_nebenverwandt_example():
-    assert apply_nr("N", Triad(D, Quality.MINOR)) == Triad(
-        A, Quality.MAJOR
-    )
+    assert apply_nr("N", Triad(D, minor=True)) == Triad(A, minor=False)
 
 
 def test_leittonwechsel_relates_f_sharp_minor_and_d_major():
-    assert apply_nr("L", Triad(FS, Quality.MINOR)) == Triad(
-        D, Quality.MAJOR
-    )
+    assert apply_nr("L", Triad(FS, minor=True)) == Triad(D, minor=False)
 
 
 def test_all_ops_are_quality_toggling_involutions():
     for op, triad in itertools.product(NR_OPS, ALL_TRIADS):
         image = apply_nr(op, triad)
-        assert image.quality is not triad.quality
+        assert image.minor is not triad.minor
         assert apply_nr(op, image) == triad
 
 
@@ -75,10 +66,10 @@ def test_named_ops_preserve_a_common_tone():
 
 
 def test_distance_examples():
-    assert tonnetz_distance(Triad(A, Quality.MAJOR), Triad(E, Quality.MAJOR)) == 1
-    assert tonnetz_distance(Triad(G, Quality.MAJOR), Triad(A, Quality.MAJOR)) == 2
-    assert tonnetz_distance(Triad(B, Quality.MAJOR), Triad(D, Quality.MAJOR)) == 1
-    assert tonnetz_distance(Triad(E, Quality.MAJOR), Triad(FS, Quality.MINOR)) == 2
+    assert tonnetz_distance(Triad(A, minor=False), Triad(E, minor=False)) == 1
+    assert tonnetz_distance(Triad(G, minor=False), Triad(A, minor=False)) == 2
+    assert tonnetz_distance(Triad(B, minor=False), Triad(D, minor=False)) == 1
+    assert tonnetz_distance(Triad(E, minor=False), Triad(FS, minor=True)) == 2
 
 
 def test_distance_matches_common_tone_oracle_on_all_pairs():
@@ -128,8 +119,8 @@ def test_distance_invariant_under_transposition():
         base = tonnetz_distance(a, b)
         for k in range(12):
             shifted = tonnetz_distance(
-                Triad((a.root + k) % 12, a.quality),
-                Triad((b.root + k) % 12, b.quality),
+                Triad((a.root + k) % 12, a.minor),
+                Triad((b.root + k) % 12, b.minor),
             )
             assert shifted == base
 
@@ -197,23 +188,23 @@ def _cadences_by_chord_fields(chords, key):
     """IV-iv-I with a tonic that has no seventh, and V-vi, read off roots and
     qualities: a reference that never looks at a Roman label."""
 
-    def on(chord, interval, quality):
-        return (chord.root - key) % 12 == interval and chord.quality is quality
+    def on(chord, interval, minor):
+        return (chord.root - key) % 12 == interval and chord.minor is minor
 
     found = []
     for i in range(len(chords)):
         if (
             i + 3 <= len(chords)
-            and on(chords[i], 5, Quality.MAJOR)
-            and on(chords[i + 1], 5, Quality.MINOR)
-            and on(chords[i + 2], 0, Quality.MAJOR)
+            and on(chords[i], 5, False)
+            and on(chords[i + 1], 5, True)
+            and on(chords[i + 2], 0, False)
             and chords[i + 2].embellishment != "7"
         ):
             found.append(("plagal_mixture", i, 3))
         if (
             i + 2 <= len(chords)
-            and on(chords[i], 7, Quality.MAJOR)
-            and on(chords[i + 1], 9, Quality.MINOR)
+            and on(chords[i], 7, False)
+            and on(chords[i + 1], 9, True)
         ):
             found.append(("deceptive", i, 2))
     return found
@@ -221,7 +212,7 @@ def _cadences_by_chord_fields(chords, key):
 
 # intervals above the key: mostly those the two cadences are made of
 _INTERVALS = st.sampled_from((0, 5, 7, 9)) | st.integers(0, 11)
-_CHORDS = st.tuples(_INTERVALS, st.sampled_from(Quality), st.sampled_from(("", "6", "7")))
+_CHORDS = st.tuples(_INTERVALS, st.booleans(), st.sampled_from(("", "6", "7")))
 
 
 @given(st.integers(0, 11), st.lists(_CHORDS, max_size=12))
