@@ -11,7 +11,7 @@ from ..harmony import ALL_TRIADS
 from ..record import record
 from .dictionary import build_note_dictionary
 from .nnls import nnls_activations_batch
-from .spectral import LOW_NOTE, NOTE_COUNT, Spectrogram, log_freq_map, stft
+from .spectral import LOW_NOTE, NOTE_COUNT, frame_boundaries, log_freq_map, stft
 from .wavio import AudioBuffer
 
 NO_CHORD = "N"
@@ -22,10 +22,10 @@ SMOOTH_FRAMES = 5  # width of the median filter over frame labels
 assert LOW_NOTE % 12 == 0
 _OCTAVES = (NOTE_COUNT + 11) // 12  # C1..B6 and the lone C7
 
-# 24 binary triad templates: majors C..B then minors c..b
-TRIAD_LABELS = [t.name for t in ALL_TRIADS]
+# 24 binary triad templates: majors C..B then minors c..b; N is label 24
+_LABELS = (*(t.name for t in ALL_TRIADS), NO_CHORD)
 
-_TEMPLATES = np.zeros((24, 12))
+_TEMPLATES = np.zeros((len(ALL_TRIADS), 12))
 for _i, _t in enumerate(ALL_TRIADS):
     _TEMPLATES[_i, sorted(_t.pitch_classes())] = 1.0
 _TEMPLATES_UNIT = _TEMPLATES / np.linalg.norm(_TEMPLATES, axis=1, keepdims=True)
@@ -48,8 +48,8 @@ def chroma_fold(activations: np.ndarray) -> np.ndarray:
     return padded.reshape(*activations.shape[:-1], _OCTAVES, 12).sum(axis=-2)
 
 
-def _median_smooth(indices: np.ndarray, width: int) -> np.ndarray:
-    half = width // 2
+def _median_smooth(indices: np.ndarray) -> np.ndarray:
+    half = SMOOTH_FRAMES // 2
     out = np.empty_like(indices)
     for i in range(len(indices)):
         window = np.sort(indices[max(0, i - half) : i + half + 1])
@@ -81,44 +81,41 @@ def match_chords(chroma: np.ndarray, boundaries: np.ndarray) -> list[ChordEstima
     best = similarity.argmax(axis=1)
 
     threshold = ENERGY_FLOOR * float(energy.max())
-    indices = np.where((energy > 0) & (energy >= threshold), best, 24)
-    indices = _median_smooth(indices, SMOOTH_FRAMES)
+    voiced = (energy > 0) & (energy >= threshold)
+    indices = _median_smooth(np.where(voiced, best, len(ALL_TRIADS)))
 
-    segments: list[ChordEstimate] = []
-    start = 0
-    for i in range(1, count + 1):
-        if i == count or indices[i] != indices[start]:
-            label = NO_CHORD if indices[start] == 24 else TRIAD_LABELS[indices[start]]
-            segments.append(
-                ChordEstimate(label, float(boundaries[start]), float(boundaries[i]))
-            )
-            start = i
-    return segments
+    # a segment starts at frame 0 and wherever the label changes
+    cuts = np.concatenate(([0], np.flatnonzero(np.diff(indices)) + 1, [count]))
+    return [
+        ChordEstimate(_LABELS[indices[a]], float(boundaries[a]), float(boundaries[b]))
+        for a, b in zip(cuts[:-1], cuts[1:])
+    ]
 
 
 def identify(
     buffer: AudioBuffer, pre_emphasis: float = 0.0
-) -> tuple[list[ChordEstimate], Spectrogram]:
+) -> tuple[list[ChordEstimate], np.ndarray]:
     """Full pipeline from audio to chord segments.
 
     ``pre_emphasis`` applies the first-order filter y[n] = x[n] - c*x[n-1]
     before analysis, tilting energy toward the upper harmonics; 0 disables it.
     A coefficient outside [-1, 1], nan included, raises TonnetzlabError.
-    Returns the segment list and the spectrogram (for optional image export).
-    Deterministic: identical samples produce identical segments.
+    Returns the segment list and the ``stft`` magnitudes (for optional image
+    export). Deterministic: identical samples produce identical segments.
     """
     if not abs(pre_emphasis) <= 1.0:  # also true for nan
         raise TonnetzlabError(
             f"pre-emphasis coefficient must lie in [-1, 1], got {pre_emphasis}"
         )
+    samples, rate = buffer
     if pre_emphasis:
-        samples = buffer.samples
-        filtered = np.concatenate(
+        samples = np.concatenate(
             (samples[:1], samples[1:] - pre_emphasis * samples[:-1])
         )
-        buffer = AudioBuffer(filtered, buffer.sample_rate)
-    spec = stft(buffer)
-    activations = nnls_activations_batch(log_freq_map(spec), build_note_dictionary())
+    mags = stft(samples)
+    activations = nnls_activations_batch(
+        log_freq_map(mags, rate), build_note_dictionary()
+    )
     chroma = chroma_fold(activations)
-    boundaries = spec.frame_boundaries(len(buffer.samples))
-    return match_chords(chroma, boundaries), spec
+    boundaries = frame_boundaries(len(mags), len(samples), rate)
+    return match_chords(chroma, boundaries), mags

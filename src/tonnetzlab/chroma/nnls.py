@@ -81,14 +81,18 @@ DEFAULT_MAX_ITER = 500
 def _block_product(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     """``a @ m`` as one (FRAME_BLOCK, k) x (k, n) GEMM per FRAME_BLOCK rows of ``a``.
 
-    The last block, when short, is padded with zero rows, so every BLAS call
-    has the same shape and a row's result does not depend on the batch.
+    The whole blocks go through one stacked matmul over the (blocks,
+    FRAME_BLOCK, k) view; the last block, when short, is padded with zero
+    rows. So every BLAS call has the same shape and a row's result does not
+    depend on the batch.
     """
     out = np.empty((len(a), m.shape[1]))
     whole = len(a) - len(a) % FRAME_BLOCK
-    for start in range(0, whole, FRAME_BLOCK):
-        block = slice(start, start + FRAME_BLOCK)
-        np.matmul(a[block], m, out=out[block])
+    np.matmul(
+        a[:whole].reshape(-1, FRAME_BLOCK, a.shape[1]),
+        m,
+        out=out[:whole].reshape(-1, FRAME_BLOCK, m.shape[1]),
+    )
     if whole < len(a):
         padded = np.zeros((FRAME_BLOCK, a.shape[1]))
         padded[: len(a) - whole] = a[whole:]

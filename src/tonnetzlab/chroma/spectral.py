@@ -3,14 +3,11 @@
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import TonnetzlabError
-from ..record import record
-from .wavio import AudioBuffer
 
 LOW_NOTE = 24  # C1
 HIGH_NOTE = 96  # C7
@@ -21,39 +18,26 @@ FRAME_BLOCK = 64  # frames per block of the STFT and the NNLS matrix products
 GAMMA = 100.0  # log compression of the PPM spectrogram
 
 
-@record
-class Spectrogram(NamedTuple):
-    """Non-negative magnitude frames, one row per frame."""
+def frame_boundaries(count: int, total_samples: int, sample_rate: int) -> np.ndarray:
+    """Segment boundaries in seconds of ``count`` frames: frame i owns [b[i], b[i+1]).
 
-    frames: np.ndarray  # shape (n_frames, WINDOW_SIZE // 2 + 1)
-    sample_rate: int
-
-    @property
-    def frame_count(self) -> int:
-        return self.frames.shape[0]
-
-    def frame_boundaries(self, total_samples: int) -> np.ndarray:
-        """Segment boundaries in seconds: frame i owns [b[i], b[i+1]).
-
-        The last boundary extends to the end of the audio (``total_samples``
-        long), so segments tile the whole signal.
-        """
-        edges = np.arange(self.frame_count + 1, dtype=np.float64) * HOP
-        edges[-1] = max(edges[-1], float(total_samples))
-        return edges / self.sample_rate
+    The last boundary is the end of the audio (``total_samples`` long), so
+    segments tile the whole signal.
+    """
+    return np.append(np.arange(count) * HOP, total_samples) / sample_rate
 
 
-def stft(buffer: AudioBuffer) -> Spectrogram:
-    """Magnitude STFT with a Hann window.
+def stft(samples: np.ndarray) -> np.ndarray:
+    """Magnitude STFT with a Hann window: (n_frames, WINDOW_SIZE // 2 + 1).
 
     Frame count is floor((len - window) / hop) + 1; raises TonnetzlabError when
-    the buffer does not cover one window. Frames are windowed, transformed and
+    the samples do not cover one window. Frames are windowed, transformed and
     rectified FRAME_BLOCK at a time into one preallocated array: each step's
     arrays then stay in cache (a 64 s track's whole-track windows, spectrum
     and magnitudes are 11-22 MB each), and every frame's arithmetic is its
     own, so the magnitudes are bit for bit those of the whole-track product.
     """
-    samples = np.asarray(buffer.samples, dtype=np.float64)
+    samples = np.asarray(samples, dtype=np.float64)
     if len(samples) < WINDOW_SIZE:
         raise TonnetzlabError(
             f"need at least {WINDOW_SIZE} samples, got {len(samples)}"
@@ -64,37 +48,42 @@ def stft(buffer: AudioBuffer) -> Spectrogram:
     for start in range(0, len(windows), FRAME_BLOCK):
         block = slice(start, start + FRAME_BLOCK)
         np.abs(np.fft.rfft(windows[block] * hann, axis=1), out=mags[block])
-    return Spectrogram(mags, buffer.sample_rate)
+    return mags
 
 
-def log_freq_map(spec: Spectrogram) -> np.ndarray:
-    """Fold FFT bins onto semitone bins for MIDI notes 24..96.
+def log_freq_map(mags: np.ndarray, sample_rate: int) -> np.ndarray:
+    """Fold ``stft`` magnitudes onto semitone bins for MIDI notes 24..96.
 
     Each note bin accumulates magnitudes under a triangular window of
     half-width one semitone centered at the note's 12-TET frequency. Only
     the FFT bins within a semitone of the note range carry weight, so only
-    they enter the product. Returns (n_frames, 73).
+    they enter the product. Returns (n_frames, 73). Raises TonnetzlabError
+    for a rate below 8 kHz, or one so high that no bin lies in that range.
     """
-    if spec.sample_rate < 8000:
+    if sample_rate < 8000:
         raise TonnetzlabError(
-            f"sample rate {spec.sample_rate} Hz is below 8 kHz "
+            f"sample rate {sample_rate} Hz is below 8 kHz "
             "and cannot resolve the note range"
         )
-    freqs = np.fft.rfftfreq(WINDOW_SIZE, 1.0 / spec.sample_rate)[1:]  # bin 0 is DC
+    freqs = np.fft.rfftfreq(WINDOW_SIZE, 1.0 / sample_rate)[1:]  # bin 0 is DC
     semis = 69.0 + 12.0 * np.log2(freqs / 440.0)
-    # semis rises with the bin, so the weighted bins are one slice, perhaps empty
+    # semis rises with the bin, so the weighted bins are one slice
     lo, hi = np.searchsorted(semis, [LOW_NOTE - 1, HIGH_NOTE + 1])
+    if lo == hi:
+        raise TonnetzlabError(
+            f"sample rate {sample_rate} Hz puts no FFT bin in the note range"
+        )
     notes = np.arange(LOW_NOTE, HIGH_NOTE + 1, dtype=np.float64)
     weights = np.maximum(1.0 - np.abs(semis[lo:hi] - notes[:, None]), 0.0)
-    return spec.frames[:, 1 + lo : 1 + hi] @ weights.T
+    return mags[:, 1 + lo : 1 + hi] @ weights.T
 
 
-def render_spectrogram_ppm(spec: Spectrogram) -> bytes:
-    """Binary P6 PPM: one pixel column per frame, low frequencies at the bottom.
+def render_spectrogram_ppm(mags: np.ndarray) -> bytes:
+    """Binary P6 PPM of ``stft`` magnitudes: one pixel column per frame, low
+    frequencies at the bottom.
 
     Values are log-compressed: v -> 255 * log(1 + GAMMA*v) / log(1 + GAMMA*vmax).
     """
-    mags = spec.frames
     vmax = float(mags.max()) if mags.size else 0.0
     if vmax > 0:
         gray = 255.0 * np.log1p(GAMMA * mags) / math.log1p(GAMMA * vmax)

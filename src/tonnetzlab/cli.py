@@ -43,8 +43,9 @@ from .rhythm import (
 from .transforms import ProgressionAnnotation, annotate_progression
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .chroma.identify import ChordEstimate
-    from .chroma.spectral import Spectrogram
     from .chroma.wavio import AudioBuffer
 
 REPORT_VERSION = 1
@@ -64,7 +65,7 @@ def load_wav(path: str | Path) -> AudioBuffer:
 
 def identify(
     buffer: AudioBuffer, **kwargs
-) -> tuple[list[ChordEstimate], Spectrogram]:
+) -> tuple[list[ChordEstimate], np.ndarray]:
     """``tonnetzlab.chroma.identify.identify``, imported on the first call."""
     from .chroma.identify import identify
 
@@ -193,7 +194,7 @@ def _cmd_render_tonnetz(args: argparse.Namespace) -> int:
     doc = _read_chart(args.chart)
     section = _get_section(doc, args.section)
     chords = progression(flatten(section))
-    svg = render_tonnetz_svg(embed_path(chords, doc.key), doc.key)
+    svg = render_tonnetz_svg(embed_path(chords, doc.key))
     _write_text(args.out, svg)
     return 0
 
@@ -215,7 +216,7 @@ def _cmd_chord_id(args: argparse.Namespace) -> int:
     from .chroma.spectral import render_spectrogram_ppm
 
     buffer = load_wav(args.audio)
-    segments, spec = identify(buffer, pre_emphasis=args.pre_emphasis)
+    segments, mags = identify(buffer, pre_emphasis=args.pre_emphasis)
     lines = [
         json.dumps(
             {"label": s.label, "start_s": round(s.start, 6), "end_s": round(s.end, 6)},
@@ -225,7 +226,7 @@ def _cmd_chord_id(args: argparse.Namespace) -> int:
     ]
     _write_text(args.out, "\n".join(lines) + "\n")
     if args.spectrogram:
-        Path(args.spectrogram).write_bytes(render_spectrogram_ppm(spec))
+        Path(args.spectrogram).write_bytes(render_spectrogram_ppm(mags))
     return 0
 
 

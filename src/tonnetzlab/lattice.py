@@ -194,9 +194,7 @@ def _arrow(start: Point, end: Point, scale: float, double: bool) -> str:
     return f'<g class="{cls}">' + "".join(lines) + head_path + "</g>"
 
 
-def render_tonnetz_svg(
-    placements: tuple[TriadPlacement, ...], anchor: PitchClass = 0
-) -> str:
+def render_tonnetz_svg(placements: tuple[TriadPlacement, ...]) -> str:
     """Render an embedded path as a standalone SVG 1.1 document.
 
     The honeycomb covers the path's bounding box plus a one-hex margin; red
@@ -207,6 +205,9 @@ def render_tonnetz_svg(
     if not placements:
         raise TonnetzlabError("cannot render an empty embedding")
     scale = HEX_SIZE
+    # the labels' anchor: the first placement's first hexagon holds its root
+    first = placements[0]
+    anchor = (first.triad.root - node_pitch_class(first.hexes[0], 0)) % 12
 
     used = {h for p in placements for h in p.hexes}
     x_lo = min(h[0] for h in used) - MARGIN

@@ -161,7 +161,8 @@ def detect_substructures(clocks: list[RhythmClock]) -> SubstructureReport:
         with_hours.setdefault(frozenset(clock.hours), []).append(i)
     reflections = []
     for i, clock in enumerate(distinct):
-        mirrors = with_hours.get(frozenset(reflect_clock(clock, 0).hours), [])
+        mirrored = frozenset(-h % clock.cycle for h in clock.hours)
+        mirrors = with_hours.get(mirrored, [])
         later = mirrors[bisect.bisect_right(mirrors, i) :]
         reflections += [ReflectionPair(i, j) for j in later]
 

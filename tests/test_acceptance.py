@@ -229,7 +229,7 @@ def test_criterion_9_rendering_contracts(lead_chart, recorded_chart):
         for name in dict.fromkeys(chart.form):
             section = chart.sections[name]
             placements = embed_path(progression(flatten(section)), chart.key)
-            svgs.append(render_tonnetz_svg(placements, chart.key))
+            svgs.append(render_tonnetz_svg(placements))
             report = detect_substructures(clocks_for(flatten(section), chart.meter))
             svgs.extend(render_clock_svg(c) for c in report.distinct_clocks)
     for svg in svgs:
@@ -238,8 +238,8 @@ def test_criterion_9_rendering_contracts(lead_chart, recorded_chart):
     placements = embed_path(
         progression(flatten(lead_chart.sections["Verse"])), lead_chart.key
     )
-    first = render_tonnetz_svg(placements, lead_chart.key)
-    second = render_tonnetz_svg(placements, lead_chart.key)
+    first = render_tonnetz_svg(placements)
+    second = render_tonnetz_svg(placements)
     assert first == second
     root = ET.fromstring(first)
     arrows = [

@@ -18,7 +18,15 @@ from synth import write_wav
 
 import tonnetzlab
 from tonnetzlab.chroma.dictionary import build_note_dictionary
-from tonnetzlab.chroma.identify import chroma_fold, identify, match_chords
+from tonnetzlab.chroma.identify import (
+    _TEMPLATES_UNIT,
+    ENERGY_FLOOR,
+    ChordEstimate,
+    _median_smooth,
+    chroma_fold,
+    identify,
+    match_chords,
+)
 from tonnetzlab.chroma.nnls import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -31,14 +39,13 @@ from tonnetzlab.chroma.spectral import (
     HOP,
     LOW_NOTE,
     WINDOW_SIZE,
-    Spectrogram,
     log_freq_map,
     render_spectrogram_ppm,
     stft,
 )
 from tonnetzlab.chroma.wavio import AudioBuffer, load_wav
 from tonnetzlab.errors import TonnetzlabError
-from tonnetzlab.harmony import parse_chord_symbol
+from tonnetzlab.harmony import ALL_TRIADS, parse_chord_symbol
 
 
 # ---------------------------------------------------------------- WAV I/O
@@ -143,9 +150,7 @@ def test_stft_sine_at_bin_center():
     bin_index = 100
     freq = bin_index * sr / window
     t = np.arange(sr) / sr
-    buf = AudioBuffer(np.sin(2 * np.pi * freq * t), sr)
-    spec = stft(buf)
-    frame = spec.frames[2]
+    frame = stft(np.sin(2 * np.pi * freq * t))[2]
     assert frame.argmax() == bin_index
     peak = frame[bin_index]
     away = np.concatenate([frame[: bin_index - 1], frame[bin_index + 2 :]])
@@ -154,22 +159,18 @@ def test_stft_sine_at_bin_center():
 
 
 def test_stft_zeros_and_frame_count():
-    buf = AudioBuffer(np.zeros(4096 + 3 * 2048), 22050)
-    spec = stft(buf)
-    assert spec.frame_count == 4
-    assert not spec.frames.any()
-    assert spec.frames.shape[1] == 4096 // 2 + 1
+    mags = stft(np.zeros(4096 + 3 * 2048))
+    assert mags.shape == (4, 4096 // 2 + 1)
+    assert not mags.any()
 
 
 def test_stft_dc_concentrates_in_bin_zero():
-    buf = AudioBuffer(np.full(8192, 0.5), 22050)
-    spec = stft(buf)
-    assert (spec.frames.argmax(axis=1) == 0).all()
+    assert (stft(np.full(8192, 0.5)).argmax(axis=1) == 0).all()
 
 
 def test_stft_too_short():
     with pytest.raises(TonnetzlabError, match="^need at least 4096 samples, got 1024$"):
-        stft(AudioBuffer(np.zeros(1024), 22050))
+        stft(np.zeros(1024))
 
 
 # The list-stacked framing that stft's strided view replaced, kept as the
@@ -188,8 +189,7 @@ def _reference_stft_frames(samples: np.ndarray) -> np.ndarray:
 def test_stft_matches_reference_framing_on_a_noisy_buffer(extra):
     buffer = _acceptance_buffer(noise_snr_db=10.0)
     samples = np.concatenate((buffer.samples, np.full(extra, 0.25)))
-    spec = stft(AudioBuffer(samples, buffer.sample_rate))
-    assert np.array_equal(spec.frames, _reference_stft_frames(samples))
+    assert np.array_equal(stft(samples), _reference_stft_frames(samples))
 
 
 # The whole-track product that stft's FRAME_BLOCK loop replaced, kept as the
@@ -203,9 +203,9 @@ def _reference_stft_magnitudes(samples: np.ndarray) -> np.ndarray:
 def test_stft_matches_the_whole_track_product_at_block_edges(count):
     length = WINDOW_SIZE + (count - 1) * HOP
     samples = np.random.default_rng(count).standard_normal(length)
-    spec = stft(AudioBuffer(samples, 22050))
-    assert spec.frame_count == count
-    assert np.array_equal(spec.frames, _reference_stft_magnitudes(samples))
+    mags = stft(samples)
+    assert len(mags) == count
+    assert np.array_equal(mags, _reference_stft_magnitudes(samples))
 
 
 # ----------------------------------------------------------- log-freq map
@@ -216,50 +216,60 @@ def _sine_buffer(freq: float, sr: int = 22050, seconds: float = 0.75) -> AudioBu
     return AudioBuffer(np.sin(2 * np.pi * freq * t), sr)
 
 
+def _semitone_frames(buffer: AudioBuffer) -> np.ndarray:
+    return log_freq_map(stft(buffer.samples), buffer.sample_rate)
+
+
 def test_log_freq_concert_a():
-    frames = log_freq_map(stft(_sine_buffer(440.0)))
+    frames = _semitone_frames(_sine_buffer(440.0))
     assert frames[0].argmax() == 69 - LOW_NOTE
 
 
 def test_log_freq_middle_c():
-    frames = log_freq_map(stft(_sine_buffer(261.63)))
+    frames = _semitone_frames(_sine_buffer(261.63))
     assert frames[0].argmax() == 60 - LOW_NOTE
 
 
 def test_log_freq_silence():
-    frames = log_freq_map(stft(AudioBuffer(np.zeros(8192), 22050)))
+    frames = _semitone_frames(AudioBuffer(np.zeros(8192), 22050))
     assert not frames.any()
 
 
 def test_log_freq_rejects_low_sample_rate():
-    spec = stft(AudioBuffer(np.zeros(8192), 22050))
-    starved = Spectrogram(spec.frames, 4000)
     with pytest.raises(TonnetzlabError, match="^sample rate 4000 Hz is below 8 kHz"):
-        log_freq_map(starved)
+        log_freq_map(stft(np.zeros(8192)), 4000)
 
 
 # The full (notes x bins) triangle table that log_freq_map's slice of weighted
 # bins replaced, kept as the reference it must match to rounding.
-def _reference_log_freq_map(spec: Spectrogram) -> np.ndarray:
-    freqs = np.fft.rfftfreq(4096, 1.0 / spec.sample_rate)
+def _reference_log_freq_map(mags: np.ndarray, sample_rate: int) -> np.ndarray:
+    freqs = np.fft.rfftfreq(4096, 1.0 / sample_rate)
     semis = np.full_like(freqs, -1e9)
     positive = freqs > 0
     semis[positive] = 69.0 + 12.0 * np.log2(freqs[positive] / 440.0)
     notes = np.arange(24, 97, dtype=np.float64)
     table = np.maximum(1.0 - np.abs(semis[None, :] - notes[:, None]), 0.0)
-    return spec.frames @ table.T
+    return mags @ table.T
 
 
-# 16.8 MHz puts the first FFT bin above the note range: the map is all zeros
-@pytest.mark.parametrize("sample_rate", [8000, 22050, 44100, 16_800_000])
+# at 9.08 MHz only the first FFT bin lies in the top note's window
+@pytest.mark.parametrize("sample_rate", [8000, 22050, 44100, 9_080_000])
 def test_log_freq_map_matches_the_full_table(sample_rate):
-    frames = stft(_acceptance_buffer(noise_snr_db=10.0)).frames
-    spec = Spectrogram(frames, sample_rate)
-    expected = _reference_log_freq_map(spec)
-    got = log_freq_map(spec)
+    mags = stft(_acceptance_buffer(noise_snr_db=10.0).samples)
+    expected = _reference_log_freq_map(mags, sample_rate)
+    got = log_freq_map(mags, sample_rate)
     assert got.shape == expected.shape
     assert (np.abs(got - expected) <= 1e-12 * expected.max(axis=1, keepdims=True)).all()
-    assert expected.any() == got.any() == (sample_rate < 16_800_000)
+    assert got.any()
+
+
+# From ~9.08 MHz up, the first FFT bin (rate / 4096) lies above the top note's
+# window, so no bin carries weight; 2**32 - 1 is the largest rate a header holds.
+@pytest.mark.parametrize("sample_rate", [9_084_000, 16_800_000, 2**31, 2**32 - 1])
+def test_log_freq_map_rejects_a_rate_with_no_bin_in_the_note_range(sample_rate):
+    message = f"^sample rate {sample_rate} Hz puts no FFT bin in the note range$"
+    with pytest.raises(TonnetzlabError, match=message):
+        log_freq_map(stft(np.zeros(8192)), sample_rate)
 
 
 # ------------------------------------------------------------- dictionary
@@ -436,7 +446,7 @@ def _acceptance_buffer(noise_snr_db: float = 30.0, repeats: int = 1) -> AudioBuf
 
 
 def test_nnls_batch_matches_reference_on_acceptance_corpus():
-    frames = log_freq_map(stft(_acceptance_buffer()))
+    frames = _semitone_frames(_acceptance_buffer())
     frames[len(frames) // 2] = 0.0
     # these frames take 38-87 iterations: at 75 a few are cut off
     max_iter = 75
@@ -552,13 +562,36 @@ def test_block_product_rows_do_not_depend_on_position_or_neighbours():
                     assert np.array_equal(_block_product(block, m)[position], alone)
 
 
+# The block-by-block loop that _block_product's stacked matmul replaced, kept
+# as the reference it must match bit for bit.
+def _reference_block_product(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    out = np.empty((len(a), m.shape[1]))
+    whole = len(a) - len(a) % FRAME_BLOCK
+    for start in range(0, whole, FRAME_BLOCK):
+        block = slice(start, start + FRAME_BLOCK)
+        np.matmul(a[block], m, out=out[block])
+    if whole < len(a):
+        padded = np.zeros((FRAME_BLOCK, a.shape[1]))
+        padded[: len(a) - whole] = a[whole:]
+        out[whole:] = (padded @ m)[: len(a) - whole]
+    return out
+
+
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 300, 688, 2000])
+def test_block_product_matches_the_block_loop(rows):
+    dictionary = build_note_dictionary()
+    a = np.abs(np.random.default_rng(rows).standard_normal((rows, 73)))
+    for m in (dictionary.profiles, dictionary.gram()):
+        assert np.array_equal(_block_product(a, m), _reference_block_product(a, m))
+
+
 # Runs in a fresh interpreter: BLAS fixes its thread count when it loads.
 _THREADED_CHECK = """
 import numpy as np
 import test_chroma as t
 
 t.test_block_product_rows_do_not_depend_on_position_or_neighbours()
-frames = t.log_freq_map(t.stft(t._acceptance_buffer(noise_snr_db=10.0)))
+frames = t._semitone_frames(t._acceptance_buffer(noise_snr_db=10.0))
 order = np.random.default_rng(5).permutation(len(frames))
 t._assert_rows_independent(frames, order, t.DEFAULT_TOL, t.DEFAULT_MAX_ITER)
 """
@@ -579,7 +612,7 @@ def test_nnls_batch_rows_are_independent_under_two_blas_threads():
 
 def test_nnls_batch_rows_are_independent_on_a_track():
     """The fixed case: all 688 frames of a 64 s track at 10 dB SNR."""
-    frames = log_freq_map(stft(_acceptance_buffer(noise_snr_db=10.0, repeats=4)))
+    frames = _semitone_frames(_acceptance_buffer(noise_snr_db=10.0, repeats=4))
     order = np.random.default_rng(5).permutation(len(frames))
     _assert_rows_independent(frames, order, DEFAULT_TOL, DEFAULT_MAX_ITER)
 
@@ -615,7 +648,7 @@ def test_nnls_residual_history_is_monotone(frame):
 def test_nnls_matches_exact_nnls_on_acceptance_corpus(snr_db):
     scipy_nnls = pytest.importorskip("scipy.optimize").nnls
     dictionary = build_note_dictionary()
-    frames = log_freq_map(stft(_acceptance_buffer(snr_db)))
+    frames = _semitone_frames(_acceptance_buffer(snr_db))
     activations = nnls_activations_batch(frames, dictionary)
     exact = np.array([scipy_nnls(dictionary.profiles, frame)[0] for frame in frames])
     # per frame, the largest activation error relative to the largest activation
@@ -668,9 +701,42 @@ def test_chroma_fold_matches_reference_on_random_activations(shape):
 
 def test_chroma_fold_matches_reference_on_acceptance_corpus():
     activations = nnls_activations_batch(
-        log_freq_map(stft(_acceptance_buffer())), build_note_dictionary()
+        _semitone_frames(_acceptance_buffer()), build_note_dictionary()
     )
     assert np.array_equal(chroma_fold(activations), _reference_chroma_fold(activations))
+
+
+# The frame-by-frame loop that match_chords' cut at label changes replaced,
+# kept as the reference its segments must equal.
+def _reference_match_chords(chroma: np.ndarray, boundaries: np.ndarray) -> list:
+    energy = chroma.sum(axis=1)
+    norms = np.linalg.norm(chroma, axis=1)
+    safe = np.where(norms > 0, norms, 1.0)
+    best = ((chroma / safe[:, None]) @ _TEMPLATES_UNIT.T).argmax(axis=1)
+    threshold = ENERGY_FLOOR * float(energy.max())
+    indices = _median_smooth(np.where((energy > 0) & (energy >= threshold), best, 24))
+    segments = []
+    start = 0
+    for i in range(1, len(chroma) + 1):
+        if i == len(chroma) or indices[i] != indices[start]:
+            label = "N" if indices[start] == 24 else ALL_TRIADS[indices[start]].name
+            segments.append(
+                ChordEstimate(label, float(boundaries[start]), float(boundaries[i]))
+            )
+            start = i
+    return segments
+
+
+@pytest.mark.parametrize("count", [1, 2, 5, 64, 300])
+def test_match_chords_matches_the_frame_loop(count):
+    rng = np.random.default_rng(count)
+    # runs of one chroma row, some silent or below the energy floor
+    rows = np.abs(rng.standard_normal((count, 12)))
+    rows[rng.random(count) < 0.2] *= 1e-6
+    rows[rng.random(count) < 0.1] = 0.0
+    chroma = np.repeat(rows, rng.integers(1, 8, count), axis=0)[:count]
+    boundaries = np.cumsum(rng.random(count + 1))
+    assert match_chords(chroma, boundaries) == _reference_match_chords(chroma, boundaries)
 
 
 def test_match_chords_scale_invariant():
@@ -705,12 +771,16 @@ def test_identify_seventh_does_not_flip_the_triad():
     assert [s.label for s in segments] == ["A", "E", "A"]
 
 
-def test_identify_segments_tile_the_audio():
+# the samples past the last frame's end: none, one, and one short of a hop
+@pytest.mark.parametrize("extra", [0, 1, HOP - 1])
+def test_identify_segments_tile_the_audio(extra):
     symbols = [parse_chord_symbol(t) for t in ["A", "d"]]
     buf = synth.chord_sequence(symbols, 1.5)
-    segments, _ = identify(buf)
+    length = WINDOW_SIZE + 29 * HOP + extra
+    segments, mags = identify(AudioBuffer(buf.samples[:length], buf.sample_rate))
+    assert len(mags) == 30
     assert segments[0].start == 0.0
-    assert segments[-1].end == pytest.approx(len(buf.samples) / buf.sample_rate)
+    assert segments[-1].end == length / buf.sample_rate
     for first, second in zip(segments, segments[1:]):
         assert first.end == second.start
 
@@ -727,15 +797,13 @@ def test_identify_deterministic():
 
 
 def test_ppm_dimensions_and_header():
-    spec = Spectrogram(np.zeros((5, 9)), 22050)
-    data = render_spectrogram_ppm(spec)
+    data = render_spectrogram_ppm(np.zeros((5, 9)))
     assert data.startswith(b"P6\n5 9\n255\n")
     assert len(data) == len(b"P6\n5 9\n255\n") + 5 * 9 * 3
 
 
 def test_ppm_zero_spectrogram_is_black():
-    spec = Spectrogram(np.zeros((4, 6)), 22050)
-    data = render_spectrogram_ppm(spec)
+    data = render_spectrogram_ppm(np.zeros((4, 6)))
     body = data.split(b"\n", 3)[3]
     assert set(body) == {0}
 
@@ -743,7 +811,7 @@ def test_ppm_zero_spectrogram_is_black():
 def test_ppm_single_bin_impulse():
     frames = np.zeros((3, 6))
     frames[1, 2] = 1.0
-    data = render_spectrogram_ppm(Spectrogram(frames, 22050))
+    data = render_spectrogram_ppm(frames)
     body = np.frombuffer(data.split(b"\n", 3)[3], dtype=np.uint8).reshape(6, 3, 3)
     lit = np.argwhere(body[:, :, 0] > 0)
     assert lit.tolist() == [[6 - 1 - 2, 1]]  # low bins render at the bottom

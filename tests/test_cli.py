@@ -494,6 +494,17 @@ def test_chord_id_chunk_past_end_of_file_is_a_one_line_error(tmp_path, capsys):
     _assert_one_line_error(capsys)
 
 
+def test_chord_id_rate_with_no_bin_in_the_note_range_is_a_one_line_error(tmp_path, capsys):
+    data = bytearray(_wav_bytes())
+    data[24:28] = (2**32 - 1).to_bytes(4, "little")  # the fmt chunk's sample rate
+    wav = tmp_path / "fast.wav"
+    wav.write_bytes(bytes(data))
+    assert _run("chord-id", wav) == 2
+    assert _assert_one_line_error(capsys) == (
+        "tonnetzlab: error: sample rate 4294967295 Hz puts no FFT bin in the note range\n"
+    )
+
+
 @pytest.mark.parametrize("channels, cut", [(1, 1), (2, 2), (2, 3)])
 def test_chord_id_analyses_a_data_chunk_cut_mid_frame(tmp_path, capsys, channels, cut):
     wav = tmp_path / "cut.wav"

@@ -177,7 +177,7 @@ def test_render_verse_arrow_count(lead_chart):
     from tonnetzlab.chart import flatten, progression
 
     chords = progression(flatten(lead_chart.sections["Verse"]))
-    svg = render_tonnetz_svg(embed_path(chords, anchor=A), anchor=A)
+    svg = render_tonnetz_svg(embed_path(chords, anchor=A))
     assert len(_arrow_groups(svg)) == len(chords) - 1 == 14
 
 
@@ -185,7 +185,7 @@ def test_render_double_moves_get_double_class(lead_chart):
     from tonnetzlab.chart import flatten, progression
 
     chords = progression(flatten(lead_chart.sections["Coda"]))
-    svg = render_tonnetz_svg(embed_path(chords, anchor=A), anchor=A)
+    svg = render_tonnetz_svg(embed_path(chords, anchor=A))
     doubles = [
         el
         for el in _arrow_groups(svg)
@@ -208,8 +208,8 @@ def test_render_is_well_formed_and_deterministic(lead_chart):
     placements = embed_path(
         progression(flatten(lead_chart.sections["Bridge"])), anchor=A
     )
-    first = render_tonnetz_svg(placements, anchor=A)
-    second = render_tonnetz_svg(placements, anchor=A)
+    first = render_tonnetz_svg(placements)
+    second = render_tonnetz_svg(placements)
     assert first == second
     ET.fromstring(first)  # raises on malformed XML
 
@@ -217,7 +217,7 @@ def test_render_is_well_formed_and_deterministic(lead_chart):
 def _translated(
     placements: tuple[TriadPlacement, ...], shift: tuple[int, int]
 ) -> tuple[TriadPlacement, ...]:
-    """The same path drawn ``shift`` hexagons away (the labels change with it)."""
+    """The same path drawn ``shift`` hexagons away."""
     dx, dy = hex_center(shift)
     return tuple(
         TriadPlacement(
@@ -267,10 +267,10 @@ def test_fmt_never_writes_negative_zero(value):
 )
 def test_render_matches_the_reference_on_random_progressions(anchor, triads, shift):
     placements = embed_path([parse_chord_symbol(t.name) for t in triads], anchor)
-    for drawn in (placements, _translated(placements, shift)):
-        assert render_tonnetz_svg(drawn, anchor) == render_tonnetz_svg_reference(
-            drawn, anchor
-        )
+    # the labels move with the path: the shifted hexagons keep their pitch classes
+    shifted = (anchor - 7 * shift[0] - 4 * shift[1]) % 12
+    for drawn, labels in ((placements, anchor), (_translated(placements, shift), shifted)):
+        assert render_tonnetz_svg(drawn) == render_tonnetz_svg_reference(drawn, labels)
 
 
 def test_render_empty_embedding_rejected():
@@ -280,7 +280,7 @@ def test_render_empty_embedding_rejected():
 
 def test_start_and_end_circles_distinct_when_path_ends_elsewhere():
     chords = [parse_chord_symbol(t) for t in ["A", "E"]]
-    svg = render_tonnetz_svg(embed_path(chords, anchor=A), anchor=A)
+    svg = render_tonnetz_svg(embed_path(chords, anchor=A))
     root = ET.fromstring(svg)
     circles = [el for el in root.iter() if el.get("class") == "chord-circle"]
     assert len(circles) == 2

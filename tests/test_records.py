@@ -1,4 +1,4 @@
-"""The package's 17 value records: read-only, equal by value and only to their own type.
+"""The package's 16 value records: read-only, equal by value and only to their own type.
 
 ``RhythmClock`` is the one record with a ``_check``; it rejects onset hours
 outside its cycle or out of order.
@@ -38,7 +38,7 @@ _VALUES = st.one_of(st.integers(-3, 3), st.booleans(), st.text(max_size=2), st.n
 
 
 def test_every_record_type_is_found():
-    assert len(RECORDS) == 17
+    assert len(RECORDS) == 16
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
