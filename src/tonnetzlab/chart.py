@@ -12,8 +12,8 @@ Header lines come first::
 ``meter``'s numerator counts quarter-note beats per measure, from 1 to 12; the
 denominator is not read, so ``6/8`` is a measure of six beats.
 ``form`` lists section names in playing order; every name must be defined.
-Sections may also be defined without appearing in the form. Each header may
-appear only once.
+Sections may also be defined without appearing in the form. ``title`` is
+optional and the other three are required; each header may appear only once.
 
 A section starts with ``[Name]`` on its own line. Body lines hold measures
 separated by ``|`` (line breaks also end a measure). A measure is a list of
@@ -30,7 +30,7 @@ inside a token is an accidental (``f#:2`` is F-sharp minor for two beats).
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from .errors import TonnetzlabError, clip, excerpt
 from .harmony import (
@@ -92,14 +92,22 @@ def _beats(text: str) -> int | None:
     return int(digits)
 
 
-def _parse_meter(text: str, line_no: int) -> int:
+def _parse_meter(text: str) -> int:
     beats = _beats(text.split("/", 1)[0].strip())
     if beats is None or beats > MAX_METER:
         raise TonnetzlabError(
-            f"line {line_no}: bad meter {excerpt(text)} "
-            f"(1 to {MAX_METER} beats a measure)"
+            f"bad meter {excerpt(text)} (1 to {MAX_METER} beats a measure)"
         )
     return beats
+
+
+# each header's parser, given the text after the colon
+_HEADERS = {
+    "title": str,
+    "key": parse_pitch_class,
+    "meter": _parse_meter,
+    "form": lambda text: tuple(text.split()),
+}
 
 
 def _parse_event(token: str, line_no: int, column: int, meter: int) -> ChordEvent:
@@ -123,22 +131,11 @@ def _parse_event(token: str, line_no: int, column: int, meter: int) -> ChordEven
 
 def parse_chart(text: str) -> ChartDocument:
     """Parse and fully validate a chart document."""
-    title = ""
-    key: PitchClass | None = None
-    meter: int | None = None
-    form: tuple[str, ...] | None = None
-    header_lines: dict[str, int] = {}
-
-    sections: dict[str, Section] = {}
+    headers: dict[str, tuple[int, Any]] = {}  # name: (line, value)
+    sections: dict[str, list[Measure]] = {}
     current: str | None = None
-    measures: list[Measure] = []
+    measures: list[Measure] = []  # the current section's
     last_event: ChordEvent | None = None
-
-    def close_section() -> None:
-        nonlocal current, measures, last_event
-        if current is not None:
-            sections[current] = Section(current, tuple(measures))
-        current, measures, last_event = None, [], None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).rstrip()
@@ -146,7 +143,6 @@ def parse_chart(text: str) -> ChartDocument:
             continue
 
         if line.strip().startswith("[") and line.strip().endswith("]"):
-            close_section()
             name = line.strip()[1:-1].strip()
             if not name:
                 raise TonnetzlabError(f"line {line_no}: empty section name")
@@ -154,38 +150,32 @@ def parse_chart(text: str) -> ChartDocument:
                 raise TonnetzlabError(
                     f"line {line_no}: section [{clip(name)}] redefined"
                 )
-            current = name
+            current, measures, last_event = name, [], None
+            sections[name] = measures
             continue
 
         if current is None:
             if ":" not in line:
                 raise TonnetzlabError(f"line {line_no}: expected 'header: value'")
             head, _, value = line.partition(":")
-            head, value = head.strip().lower(), value.strip()
-            if head in header_lines:
+            head = head.strip().lower()
+            if head in headers:
                 raise TonnetzlabError(
-                    f"line {line_no}: {head} repeated from line {header_lines[head]}"
+                    f"line {line_no}: {head} repeated from line {headers[head][0]}"
                 )
-            header_lines[head] = line_no
-            if head == "title":
-                title = value
-            elif head == "key":
-                try:
-                    key = parse_pitch_class(value)
-                except TonnetzlabError as exc:
-                    raise TonnetzlabError(f"line {line_no}: {exc}") from exc
-            elif head == "meter":
-                meter = _parse_meter(value, line_no)
-            elif head == "form":
-                form = tuple(value.split())
-            else:
+            if head not in _HEADERS:
                 raise TonnetzlabError(f"line {line_no}: unknown header {excerpt(head)}")
+            try:
+                headers[head] = line_no, _HEADERS[head](value.strip())
+            except TonnetzlabError as exc:
+                raise TonnetzlabError(f"line {line_no}: {exc}") from exc
             continue
 
-        if meter is None:
+        if "meter" not in headers:
             raise TonnetzlabError(
                 f"line {line_no}: meter must be declared before sections"
             )
+        meter = headers["meter"][1]
         end = 0  # where the previous token ends; a token's text can recur earlier
         for chunk in line.split("|"):
             tokens = chunk.split()
@@ -215,19 +205,21 @@ def parse_chart(text: str) -> ChartDocument:
                     f"durations sum to {total}, meter is {meter}"
                 )
             measures.append(tuple(events))
-    close_section()
 
-    if key is None or meter is None or form is None:
-        missing = [
-            name
-            for name, value in (("key", key), ("meter", meter), ("form", form))
-            if value is None
-        ]
+    missing = [n for n in ("key", "meter", "form") if n not in headers]
+    if missing:
         raise TonnetzlabError(f"missing header(s): {', '.join(missing)}")
-    for name in form:
+    values = {name: value for name, (_, value) in headers.items()}
+    for name in values["form"]:
         if name not in sections:
             raise TonnetzlabError(f"form names unknown section {excerpt(name)}")
-    return ChartDocument(title, key, meter, form, sections)
+    return ChartDocument(
+        values.get("title", ""),
+        values["key"],
+        values["meter"],
+        values["form"],
+        {name: Section(name, tuple(m)) for name, m in sections.items()},
+    )
 
 
 def flatten(section: Section) -> list[TimedChord]:

@@ -119,7 +119,7 @@ def _section_json(section: Section, key: PitchClass, meter: int) -> dict:
         "name": section.name,
         "progression": [c.display for c in chords],
     }
-    notes: list[str] = []
+    flat_seven = False
     if len(chords) >= 2:
         annotation = annotate_progression(chords, key)
         entry["roman"] = list(annotation.roman)
@@ -128,12 +128,11 @@ def _section_json(section: Section, key: PitchClass, meter: int) -> dict:
             {"kind": c.kind, "start": c.start, "length": c.length}
             for c in annotation.cadences
         ]
-        if any("♭VII" in label for label in annotation.roman):
-            notes.append(FLAT_SEVEN_NOTE)
+        flat_seven = any("♭VII" in label for label in annotation.roman)
     substructures = detect_substructures(clocks_for(timed, meter))
     entry["rhythm"] = _rhythm_json(substructures)
-    if notes:
-        entry["notes"] = notes
+    if flat_seven:
+        entry["notes"] = [FLAT_SEVEN_NOTE]
     return entry
 
 
@@ -206,9 +205,7 @@ def _cmd_render_clocks(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for index, clock in enumerate(report.distinct_clocks, start=1):
-        (out_dir / f"clock-{index}.svg").write_text(
-            render_clock_svg(clock), encoding="utf-8"
-        )
+        _write_text(str(out_dir / f"clock-{index}.svg"), render_clock_svg(clock))
     return 0
 
 

@@ -154,9 +154,9 @@ def _fmt(value: float) -> str:
     return "0.00" if text == "-0.00" else text
 
 
-def _svg_point(p: Point, scale: float) -> Point:
+def _svg_point(p: Point) -> Point:
     # lattice y grows upward; SVG y grows downward
-    return (p[0] * scale, -p[1] * scale)
+    return (p[0] * HEX_SIZE, -p[1] * HEX_SIZE)
 
 
 # (cos, sin) of the six corner angles of a pointy-top hexagon
@@ -166,15 +166,15 @@ _HEX_CORNERS = tuple(
 )
 
 
-def _arrow(start: Point, end: Point, scale: float, double: bool) -> str:
-    (x1, y1), (x2, y2) = _svg_point(start, scale), _svg_point(end, scale)
+def _arrow(start: Point, end: Point, double: bool) -> str:
+    (x1, y1), (x2, y2) = _svg_point(start), _svg_point(end)
     dx, dy = x2 - x1, y2 - y1
     length = math.hypot(dx, dy)
     ux, uy = dx / length, dy / length
-    trim = 0.16 * scale
+    trim = 0.16 * HEX_SIZE
     x1, y1 = x1 + ux * trim, y1 + uy * trim
     x2, y2 = x2 - ux * trim, y2 - uy * trim
-    head = 0.12 * scale
+    head = 0.12 * HEX_SIZE
     px, py = -uy, ux  # unit perpendicular
     base_x, base_y = x2 - ux * head, y2 - uy * head
     head_path = (
@@ -185,7 +185,7 @@ def _arrow(start: Point, end: Point, scale: float, double: bool) -> str:
     shaft_end_x, shaft_end_y = x2 - ux * head * 0.8, y2 - uy * head * 0.8
     cls = "move-arrow move-arrow-double" if double else "move-arrow"
     lines = []
-    offsets = (-0.045 * scale, 0.045 * scale) if double else (0.0,)
+    offsets = (-0.045 * HEX_SIZE, 0.045 * HEX_SIZE) if double else (0.0,)
     for off in offsets:
         lines.append(
             f'<line x1="{_fmt(x1 + px * off)}" y1="{_fmt(y1 + py * off)}" '
@@ -204,7 +204,6 @@ def render_tonnetz_svg(placements: tuple[TriadPlacement, ...]) -> str:
     """
     if not placements:
         raise TonnetzlabError("cannot render an empty embedding")
-    scale = HEX_SIZE
     # the labels' anchor: the first placement's first hexagon holds its root
     first = placements[0]
     anchor = (first.triad.root - node_pitch_class(first.hexes[0], 0)) % 12
@@ -217,17 +216,17 @@ def render_tonnetz_svg(placements: tuple[TriadPlacement, ...]) -> str:
 
     # A corner's y depends only on the row, and its x only on the center's x,
     # which recurs every other row: each coordinate is formatted once.
-    radius = scale / math.sqrt(3.0)
+    radius = HEX_SIZE / math.sqrt(3.0)
     columns: dict[float, tuple[str, list[str]]] = {}
     hex_parts: list[str] = []
     for y in range(y_lo, y_hi + 1):
-        cy = _svg_point(hex_center((x_lo, y)), scale)[1]
+        cy = _svg_point(hex_center((x_lo, y)))[1]
         corner_ys = [_fmt(cy - radius * sin) for _, sin in _HEX_CORNERS]
-        label_y = _fmt(cy + 0.11 * scale)
+        label_y = _fmt(cy + 0.11 * HEX_SIZE)
         for x in range(x_lo, x_hi + 1):
             center_x = hex_center((x, y))[0]
             if center_x not in columns:
-                cx = _svg_point((center_x, 0.0), scale)[0]
+                cx = _svg_point((center_x, 0.0))[0]
                 corner_xs = [_fmt(cx + radius * cos) for cos, _ in _HEX_CORNERS]
                 columns[center_x] = (_fmt(cx), corner_xs)
             label_x, corner_xs = columns[center_x]
@@ -239,7 +238,7 @@ def render_tonnetz_svg(placements: tuple[TriadPlacement, ...]) -> str:
             )
 
     arrow_parts = [
-        _arrow(a.point, b.point, scale, tonnetz_distance(a.triad, b.triad) == 2)
+        _arrow(a.point, b.point, tonnetz_distance(a.triad, b.triad) == 2)
         for a, b in zip(placements, placements[1:])
     ]
 
@@ -248,21 +247,21 @@ def render_tonnetz_svg(placements: tuple[TriadPlacement, ...]) -> str:
         circle_points.append(placements[-1].point)
     circle_parts = []
     for p in circle_points:
-        cx, cy = _svg_point(p, scale)
+        cx, cy = _svg_point(p)
         circle_parts.append(
             f'<circle class="chord-circle" cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-            f'r="{_fmt(0.3 * scale)}"/>'
+            f'r="{_fmt(0.3 * HEX_SIZE)}"/>'
         )
 
     # fl(c - radius) and fl(c + radius) grow with c, so the extreme centers
     # give the honeycomb's extent
-    min_cx, max_cy = _svg_point(hex_center((x_lo, y_lo)), scale)
-    max_cx, min_cy = _svg_point(hex_center((x_hi, y_hi)), scale)
-    pad = 0.2 * scale
+    min_cx, max_cy = _svg_point(hex_center((x_lo, y_lo)))
+    max_cx, min_cy = _svg_point(hex_center((x_hi, y_hi)))
+    pad = 0.2 * HEX_SIZE
     min_x, max_x = min_cx - radius - pad, max_cx + radius + pad
     min_y, max_y = min_cy - radius - pad, max_cy + radius + pad
 
-    style = _STYLE % {"label": int(0.3 * scale)}
+    style = _STYLE % {"label": int(0.3 * HEX_SIZE)}
     body = "".join(hex_parts) + "".join(arrow_parts) + "".join(circle_parts)
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'

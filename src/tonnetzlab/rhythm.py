@@ -182,32 +182,40 @@ _CLOCK_STYLE = (
 )
 
 
-def _hour_xy(hour: float, cycle: int, radius: float, cx: float, cy: float):
+_CLOCK_SIZE = 220.0  # width and height of the drawing
+_CLOCK_CENTER = 110.0  # x and y of the dial's center
+_CLOCK_RIM = 78.0  # the dial's radius
+
+
+def _hour_xy(hour: float, cycle: int, radius: float):
     theta = 2.0 * math.pi * hour / cycle  # clockwise from the top
-    return cx + radius * math.sin(theta), cy - radius * math.cos(theta)
+    return (
+        _CLOCK_CENTER + radius * math.sin(theta),
+        _CLOCK_CENTER - radius * math.cos(theta),
+    )
 
 
 @functools.lru_cache(maxsize=WINDOW_MEASURES * MAX_METER)
 def _clock_face(cycle: int) -> tuple[str, tuple[str, ...]]:
     """The SVG of a ``cycle``-hour clock up to its onsets, and each hour's onset
     markup up to its label."""
-    size, cx, cy, rim = 220.0, 110.0, 110.0, 78.0
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="0 0 {_fmt(size)} {_fmt(size)}">'
+        f'viewBox="0 0 {_fmt(_CLOCK_SIZE)} {_fmt(_CLOCK_SIZE)}">'
         f"<style>{_CLOCK_STYLE}</style>",
-        f'<circle class="clock-rim" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(rim)}"/>',
+        f'<circle class="clock-rim" cx="{_fmt(_CLOCK_CENTER)}" '
+        f'cy="{_fmt(_CLOCK_CENTER)}" r="{_fmt(_CLOCK_RIM)}"/>',
     ]
     onsets = []
     for hour in range(cycle):
-        x1, y1 = _hour_xy(hour, cycle, rim - 7, cx, cy)
-        x2, y2 = _hour_xy(hour, cycle, rim, cx, cy)
+        x1, y1 = _hour_xy(hour, cycle, _CLOCK_RIM - 7)
+        x2, y2 = _hour_xy(hour, cycle, _CLOCK_RIM)
         parts.append(
             f'<line class="clock-tick" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
             f'x2="{_fmt(x2)}" y2="{_fmt(y2)}"/>'
         )
-        lx, ly = _hour_xy(hour, cycle, rim + 22, cx, cy)
+        lx, ly = _hour_xy(hour, cycle, _CLOCK_RIM + 22)
         onsets.append(
             f'<circle class="clock-onset" cx="{_fmt(x2)}" cy="{_fmt(y2)}" r="5.00"/>'
             f'<text class="clock-label" x="{_fmt(lx)}" y="{_fmt(ly + 5)}">'

@@ -36,7 +36,7 @@ def fmt_reference(value: float) -> str:
 
 
 def _hexagon_path(center, scale: float) -> str:
-    cx, cy = _svg_point(center, scale)
+    cx, cy = _svg_point(center)
     radius = scale / math.sqrt(3.0)
     return " ".join(
         f"{fmt_reference(cx + radius * cos)},{fmt_reference(cy - radius * sin)}"
@@ -67,7 +67,7 @@ def render_tonnetz_svg_reference(
         hex_parts.append(
             f'<polygon class="pc-hex" points="{_hexagon_path(center, scale)}"/>'
         )
-        cx, cy = _svg_point(center, scale)
+        cx, cy = _svg_point(center)
         name = pitch_class_name(node_pitch_class(coord, anchor))
         hex_parts.append(
             f'<text class="pc-label" x="{fmt_reference(cx)}" '
@@ -76,7 +76,7 @@ def render_tonnetz_svg_reference(
 
     # the arrows format a handful of numbers each and are drawn by the library
     arrow_parts = [
-        _arrow(a.point, b.point, scale, tonnetz_distance(a.triad, b.triad) == 2)
+        _arrow(a.point, b.point, tonnetz_distance(a.triad, b.triad) == 2)
         for a, b in zip(placements, placements[1:])
     ]
 
@@ -85,7 +85,7 @@ def render_tonnetz_svg_reference(
         circle_points.append(placements[-1].point)
     circle_parts = []
     for p in circle_points:
-        cx, cy = _svg_point(p, scale)
+        cx, cy = _svg_point(p)
         circle_parts.append(
             f'<circle class="chord-circle" cx="{fmt_reference(cx)}" '
             f'cy="{fmt_reference(cy)}" r="{fmt_reference(0.3 * scale)}"/>'
@@ -94,7 +94,7 @@ def render_tonnetz_svg_reference(
     all_x: list[float] = []
     all_y: list[float] = []
     for coord in grid:
-        cx, cy = _svg_point(hex_center(coord), scale)
+        cx, cy = _svg_point(hex_center(coord))
         all_x.extend((cx - radius, cx + radius))
         all_y.extend((cy - radius, cy + radius))
     pad = 0.2 * scale
@@ -119,18 +119,18 @@ def render_clock_svg_reference(clock: RhythmClock) -> str:
         f'<circle class="clock-rim" cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(rim)}"/>'
     ]
     for hour in range(clock.cycle):
-        x1, y1 = _hour_xy(hour, clock.cycle, rim - 7, cx, cy)
-        x2, y2 = _hour_xy(hour, clock.cycle, rim, cx, cy)
+        x1, y1 = _hour_xy(hour, clock.cycle, rim - 7)
+        x2, y2 = _hour_xy(hour, clock.cycle, rim)
         parts.append(
             f'<line class="clock-tick" x1="{fmt(x1)}" y1="{fmt(y1)}" '
             f'x2="{fmt(x2)}" y2="{fmt(y2)}"/>'
         )
     for hour, label in clock.onsets:
-        dx, dy = _hour_xy(hour, clock.cycle, rim, cx, cy)
+        dx, dy = _hour_xy(hour, clock.cycle, rim)
         parts.append(
             f'<circle class="clock-onset" cx="{fmt(dx)}" cy="{fmt(dy)}" r="5.00"/>'
         )
-        lx, ly = _hour_xy(hour, clock.cycle, rim + 22, cx, cy)
+        lx, ly = _hour_xy(hour, clock.cycle, rim + 22)
         parts.append(
             f'<text class="clock-label" x="{fmt(lx)}" y="{fmt(ly + 5)}">'
             f"{_escape(label)}</text>"

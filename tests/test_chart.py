@@ -167,10 +167,14 @@ def test_a_repeated_header_is_an_error_naming_both_lines(header, first):
 
 
 def test_missing_headers_reported():
-    with pytest.raises(TonnetzlabError, match="missing header"):
+    with pytest.raises(TonnetzlabError, match=r"^missing header\(s\): key, meter, form$"):
+        parse_chart("title: T\n")
+    with pytest.raises(TonnetzlabError, match=r"^missing header\(s\): form$"):
         parse_chart("key: A\nmeter: 4/4\n[Main]\nA\n")
-    with pytest.raises(TonnetzlabError, match="meter must be declared"):
-        parse_chart("key: A\n[Main]\nA\n")
+    with pytest.raises(
+        TonnetzlabError, match="^line 4: meter must be declared before sections$"
+    ):
+        parse_chart("key: A\nform: Main\n[Main]\nA\n")
 
 
 def test_comments_do_not_eat_accidentals():

@@ -320,13 +320,14 @@ def test_one_chord_section_is_one_circle_and_no_arrow(tmp_path):
         (b"key: A\nmeter: 4/4\nform: Verse\nkey: Bb\n[Verse]\nA\n", "analyze", "Verse"),
         (b"key: A\nmeter: 4/4\nform: Verse\n[  ]\nA\n", "analyze", "Verse"),
         (b"key: A\nmeter: 4/4\ntempo: 120\nform: Verse\n[Verse]\nA\n", "analyze", "Verse"),
+        (b"key A\nmeter: 4/4\nform: Verse\n[Verse]\nA\n", "analyze", "Verse"),
     ],
     ids=["not-utf-8", "empty-section", "meter-13", "meter-over-4300-digits",
          "duration-over-4300-digits", "chord-of-5001-characters",
          "key-of-5000-characters", "section-flag-of-5000-characters",
          "section-of-5000-characters-redefined",
          "section-of-5000-characters-short-measure", "key-H", "key-repeated",
-         "empty-section-name", "unknown-header"],
+         "empty-section-name", "unknown-header", "header-without-colon"],
 )
 def test_unanalysable_chart_is_a_one_line_error(
     tmp_path, capsys, chart, command, section
@@ -346,6 +347,8 @@ def test_unanalysable_chart_is_a_one_line_error(
         assert err == "tonnetzlab: error: line 4: empty section name\n"
     if b"tempo" in chart:
         assert err == "tonnetzlab: error: line 3: unknown header 'tempo'\n"
+    if chart.startswith(b"key A"):
+        assert err == "tonnetzlab: error: line 1: expected 'header: value'\n"
 
 
 @pytest.mark.parametrize(
