@@ -13,7 +13,8 @@ Header lines come first::
 denominator is not read, so ``6/8`` is a measure of six beats.
 ``form`` lists section names in playing order; every name must be defined.
 Sections may also be defined without appearing in the form. ``title`` is
-optional and the other three are required; each header may appear only once.
+optional and the other three are required; each header may appear only once,
+and none after the first section.
 
 A section starts with ``[Name]`` on its own line. Body lines hold measures
 separated by ``|`` (line breaks also end a measure). A measure is a list of
@@ -78,10 +79,10 @@ class ChartDocument(NamedTuple):
 
 
 def _strip_comment(line: str) -> str:
-    for i, ch in enumerate(line):
-        if ch == "#" and (i == 0 or line[i - 1].isspace()):
-            return line[:i]
-    return line
+    i = line.find("#")
+    while i > 0 and not line[i - 1].isspace():
+        i = line.find("#", i + 1)
+    return line if i < 0 else line[:i]
 
 
 def _beats(text: str) -> int | None:
@@ -136,6 +137,7 @@ def parse_chart(text: str) -> ChartDocument:
     current: str | None = None
     measures: list[Measure] = []  # the current section's
     last_event: ChordEvent | None = None
+    parsed: dict[str, ChordEvent] = {}  # each distinct token's event, parsed once
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).rstrip()
@@ -171,6 +173,12 @@ def parse_chart(text: str) -> ChartDocument:
                 raise TonnetzlabError(f"line {line_no}: {exc}") from exc
             continue
 
+        head, colon, _ = line.partition(":")
+        head = head.strip().lower()
+        if colon and head in _HEADERS:
+            raise TonnetzlabError(
+                f"line {line_no}: {head} header after a section; headers come first"
+            )
         if "meter" not in headers:
             raise TonnetzlabError(
                 f"line {line_no}: meter must be declared before sections"
@@ -185,7 +193,9 @@ def parse_chart(text: str) -> ChartDocument:
             for token in tokens:
                 start = raw.index(token, end)
                 end = start + len(token)
-                event = _parse_event(token, line_no, start + 1, meter)
+                event = parsed.get(token)
+                if event is None:
+                    event = parsed[token] = _parse_event(token, line_no, start + 1, meter)
                 if event.tied:
                     if last_event is None:
                         raise TonnetzlabError(

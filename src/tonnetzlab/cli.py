@@ -27,6 +27,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
 
@@ -181,11 +182,53 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_bytes(data)
 
 
+def _report_json(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False)`` for the types a report holds.
+
+    Those are ``str``, ``int``, ``bool``, ``None``, ``list`` and ``dict`` with
+    ``str`` keys; anything else raises TypeError. ``json`` has no C encoder
+    for indented output; this writer takes less than half the time of its
+    pure-Python one, with the same C string escaper.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    inner = newline + "  "
+    if kind is list:
+        if not value:
+            return "[]"
+        items = [_report_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = [  # encode_basestring raises TypeError for a key that is not a str
+            encode_basestring(key) + ": " + _report_json(item, inner)
+            for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"a report holds no {kind.__name__}")
+
+
+class _ReportEncoder(json.JSONEncoder):
+    """Passed as ``json.dumps``'s ``cls``: encodes with ``_report_json``."""
+
+    def encode(self, o) -> str:
+        return _report_json(o)
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     doc = _read_chart(args.chart)
     key = parse_pitch_class(args.key) if args.key is not None else None
     report = build_report(doc, key)
-    _write_text(args.out, json.dumps(report, indent=2, ensure_ascii=False) + "\n")
+    # through json.dumps, the one name a wrapper of the JSON stage has to patch
+    _write_text(args.out, json.dumps(report, cls=_ReportEncoder) + "\n")
     return 0
 
 

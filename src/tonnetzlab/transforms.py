@@ -14,6 +14,7 @@ though the seventh of E7 is a d-chord tone.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 from .harmony import ChordSymbol, PitchClass, Triad, roman_numeral, triad_of
@@ -67,14 +68,15 @@ def classify_move(a: ChordSymbol, b: ChordSymbol) -> TonnetzMove:
     Arity is the graph distance of the underlying triads; a name from
     {P, L, R, N} is attached when the triads are related by that involution.
     """
-    ta, tb = triad_of(a), triad_of(b)
-    arity = tonnetz_distance(ta, tb)
-    nr_name = None  # every operation changes the mode, so none names arity 0
-    for op in NR_OPS:
-        if apply_nr(op, ta) == tb:
-            nr_name = op
-            break
-    return TonnetzMove(a, b, arity, nr_name)
+    return TonnetzMove(a, b, *_classify_triads(triad_of(a), triad_of(b)))
+
+
+@functools.cache  # at most 24 x 24 entries
+def _classify_triads(a: Triad, b: Triad) -> tuple[int, str | None]:
+    """``(arity, nr_name)`` of the move from triad ``a`` to triad ``b``."""
+    # every operation changes the mode, so none names arity 0
+    nr_name = next((op for op in NR_OPS if apply_nr(op, a) == b), None)
+    return tonnetz_distance(a, b), nr_name
 
 
 @record

@@ -12,6 +12,7 @@ from tonnetzlab.chart import (
     ChartDocument,
     ChordEvent,
     Section,
+    _strip_comment,
     flatten,
     parse_chart,
     progression,
@@ -183,6 +184,29 @@ def test_comments_do_not_eat_accidentals():
     assert [e.symbol.display for e in measure] == ["f#", "A7"]
 
 
+def _strip_comment_by_character(line: str) -> str:
+    # the character-by-character scan that _strip_comment replaced, as its reference
+    for i, ch in enumerate(line):
+        if ch == "#" and (i == 0 or line[i - 1].isspace()):
+            return line[:i]
+    return line
+
+
+@given(st.text(st.sampled_from("# \tAb♯"), max_size=24))
+def test_strip_comment_matches_a_scan_of_every_character(line):
+    assert _strip_comment(line) == _strip_comment_by_character(line)
+
+
+@pytest.mark.parametrize("header", ["form: Main", "  Meter :4/4", "TITLE:"])
+def test_a_header_after_a_section_is_an_error_naming_it(header):
+    name = header.partition(":")[0].strip().lower()
+    with pytest.raises(
+        TonnetzlabError,
+        match=f"^line 6: {name} header after a section; headers come first$",
+    ):
+        parse_chart(_chart(f"A\n{header}"))
+
+
 def test_full_line_comments_and_blanks_ignored():
     doc = parse_chart(_chart("# pickup-free\n\nA | E7"))
     assert len(doc.sections["Main"].measures) == 2
@@ -218,6 +242,12 @@ def test_tie_extends_previous_event():
 def test_tie_requires_matching_chord():
     with pytest.raises(TonnetzlabError, match="^line 5: tie continues 'A', got '~E:2'$"):
         parse_chart(_chart("A | ~E:2 E:2"))
+
+
+def test_a_tie_is_checked_at_every_occurrence_of_its_token():
+    # "~A:2" ties validly on line 5; the same token on line 6 follows E
+    with pytest.raises(TonnetzlabError, match="^line 6: tie continues 'E', got '~A:2'$"):
+        parse_chart(_chart("A | ~A:2 E:2\nE:2 ~A:2"))
 
 
 def test_tie_requires_a_previous_event():

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import synth
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from synth import write_wav
 
@@ -117,6 +117,43 @@ def test_analyze_stdout_deterministic(lead_chart_path, capsys):
     first = capsys.readouterr().out
     assert _run("analyze", lead_chart_path) == 0
     assert capsys.readouterr().out == first
+
+
+# text json escapes in each of its ways: quotes, backslashes, control, non-ASCII
+# and astral characters, and any other character
+_REPORT_TEXT = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\x85\u2028é♭\U0001d11e') | st.characters(),
+    max_size=6,
+)
+_REPORT_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([-(2**70), -1, 0, 2**70, 10**400])
+    | _REPORT_TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_REPORT_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(_REPORT_VALUES)
+@example([])
+@example({})
+@example({"": [[], {}]})
+def test_report_writer_matches_json_dumps_with_indent(value):
+    expected = json.dumps(value, indent=2, ensure_ascii=False)
+    assert json.dumps(value, cls=cli._ReportEncoder) == expected
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.5, (1, 2), {1: "a"}, [{"a": [1.0]}]],
+    ids=["float", "tuple", "int-key", "nested-float"],
+)
+def test_report_writer_refuses_a_type_a_report_does_not_hold(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, cls=cli._ReportEncoder)
 
 
 def test_render_tonnetz_verse(lead_chart_path, tmp_path):
@@ -321,13 +358,15 @@ def test_one_chord_section_is_one_circle_and_no_arrow(tmp_path):
         (b"key: A\nmeter: 4/4\nform: Verse\n[  ]\nA\n", "analyze", "Verse"),
         (b"key: A\nmeter: 4/4\ntempo: 120\nform: Verse\n[Verse]\nA\n", "analyze", "Verse"),
         (b"key A\nmeter: 4/4\nform: Verse\n[Verse]\nA\n", "analyze", "Verse"),
+        (b"key: A\nmeter: 4/4\n[Verse]\nA\nform: Verse\n", "analyze", "Verse"),
     ],
     ids=["not-utf-8", "empty-section", "meter-13", "meter-over-4300-digits",
          "duration-over-4300-digits", "chord-of-5001-characters",
          "key-of-5000-characters", "section-flag-of-5000-characters",
          "section-of-5000-characters-redefined",
          "section-of-5000-characters-short-measure", "key-H", "key-repeated",
-         "empty-section-name", "unknown-header", "header-without-colon"],
+         "empty-section-name", "unknown-header", "header-without-colon",
+         "header-after-section"],
 )
 def test_unanalysable_chart_is_a_one_line_error(
     tmp_path, capsys, chart, command, section
@@ -349,6 +388,10 @@ def test_unanalysable_chart_is_a_one_line_error(
         assert err == "tonnetzlab: error: line 3: unknown header 'tempo'\n"
     if chart.startswith(b"key A"):
         assert err == "tonnetzlab: error: line 1: expected 'header: value'\n"
+    if b"[Verse]\nA\nform:" in chart:
+        assert err == (
+            "tonnetzlab: error: line 5: form header after a section; headers come first\n"
+        )
 
 
 @pytest.mark.parametrize(

@@ -151,6 +151,27 @@ def test_classify_arity_is_symmetric():
         assert classify_move(a, b).arity == classify_move(b, a).arity
 
 
+def _reference_move(a: ChordSymbol, b: ChordSymbol) -> tuple[int, str | None]:
+    ta, tb = Triad(a.root, a.minor), Triad(b.root, b.minor)
+    arity = 0 if ta == tb else 1 if _triad_tones(ta) & _triad_tones(tb) else 2
+    names = [op for op in NR_OPS if apply_nr(op, ta) == tb]
+    return arity, names[0] if names else None
+
+
+def test_classify_matches_the_pitch_class_reference_on_every_chord_pair():
+    # each triad plain, with a 6 or a 7, and over its fifth as the bass
+    symbols = [
+        ChordSymbol(t.root, t.minor, embellishment, bass)
+        for t in ALL_TRIADS
+        for embellishment in ("", "6", "7")
+        for bass in (None, (t.root + 7) % 12)
+    ]
+    for a, b in itertools.product(symbols, repeat=2):
+        move = classify_move(a, b)
+        assert (move.source, move.target) == (a, b)
+        assert (move.arity, move.nr_name) == _reference_move(a, b)
+
+
 def test_relative_applies_in_both_directions():
     forward = classify_move(parse_chord_symbol("A"), parse_chord_symbol("f#"))
     back = classify_move(parse_chord_symbol("f#"), parse_chord_symbol("A"))
