@@ -15,35 +15,46 @@ from functools import cache
 
 import numpy as np
 
-from .spectral import HIGH_NOTE, LOW_NOTE, NOTE_COUNT
+from .spectral import HIGH_NOTE, LOW_NOTE, NOTE_COUNT, WORK_DTYPE
 
 HARMONICS = 8
 DECAY = 0.8
 
 
-class NoteDictionary:
-    """The dictionary's profiles, read-only; hashed by identity, for the caches below."""
+def _read_only(matrix: np.ndarray) -> np.ndarray:
+    matrix = matrix.astype(WORK_DTYPE)
+    matrix.flags.writeable = False
+    return matrix
 
-    __slots__ = ("_profiles",)
+
+class NoteDictionary:
+    """The dictionary's matrices in WORK_DTYPE, read-only; hashed by identity.
+
+    Built from float64 profiles: the Gram matrix and its largest eigenvalue
+    are worked out in float64, then both matrices are cast once.
+    """
+
+    __slots__ = ("_profiles", "_gram", "_step_bound")
 
     def __init__(self, profiles: np.ndarray) -> None:
-        self._profiles = profiles
+        gram = profiles.T @ profiles
+        self._profiles = _read_only(profiles)
+        self._gram = _read_only(gram)
+        self._step_bound = float(np.linalg.eigvalsh(gram)[-1])
 
     @property
     def profiles(self) -> np.ndarray:
         """(bins, notes), unit-norm columns."""
         return self._profiles
 
-    @cache
     def gram(self) -> np.ndarray:
-        gram = self.profiles.T @ self.profiles
-        gram.flags.writeable = False
-        return gram
+        """D^T D, exactly symmetric."""
+        return self._gram
 
-    @cache
     def step_bound(self) -> float:
-        """Largest eigenvalue of the Gram matrix (the 1/L step's L)."""
-        return float(np.linalg.eigvalsh(self.gram())[-1])
+        """Largest eigenvalue of the Gram matrix (the 1/L step's L), a Python
+        float: a numpy float64 scalar would promote the solver's arrays."""
+        return self._step_bound
 
 
 @cache
@@ -55,5 +66,4 @@ def build_note_dictionary() -> NoteDictionary:
             if LOW_NOTE <= bin_note <= HIGH_NOTE:
                 profiles[bin_note - LOW_NOTE, column] += DECAY ** (k - 1)
     profiles /= np.linalg.norm(profiles, axis=0, keepdims=True)
-    profiles.flags.writeable = False
     return NoteDictionary(profiles)

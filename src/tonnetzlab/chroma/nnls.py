@@ -7,9 +7,21 @@ eigenvalue of G) from a point extrapolated along the last move, with adaptive
 restart (O'Donoghue & Candes 2015). A step that would raise the objective is
 rejected: the frame keeps its activations and drops its momentum, so its next
 step is a plain projected-gradient step and the objective never goes up. phi
-is quadratic, so the test reads the sign of the exact objective change
+is quadratic, so the test reads the objective change
 phi(z) - phi(x) = (z - x).(g_z + g_x) / 2. Unlike a difference of two
-residuals this does not cancel near the optimum, so tight tolerances converge.
+residuals this does not cancel near the optimum.
+
+Every array is WORK_DTYPE (float32): the frames, D, G, the iterates and the
+momentum; L is a Python float, so no float64 scalar promotes them. A gradient
+then carries a rounding error of a few eps * max|h| in each coordinate (eps =
+2^-23), and the change can read zero or less for a step that raises phi a
+little. So a step is kept only when 2 (phi(z) - phi(x)) reads below
+-ROUNDING_MARGIN * eps * max|h| * ||z - x||. Over 101,342 kept steps of random
+and synthetic-track frames, the float32 change missed a float64 one by 0.39
+of that unit in the median and 7.3 at most; without the margin, a frame that
+a property test drew rose by 1.1e-9 in residual. With it, the KKT residual
+below still falls to 1e-6 * max|h|, a hundredth of DEFAULT_TOL; from about
+3e-7 down the steps fall inside the rounding, and frames can run to max_iter.
 
 A frame stops when its KKT natural residual max|min(a, g)| falls to
 ``tol * max|h|``, which does not change when the frame is scaled, or after
@@ -23,20 +35,27 @@ Frames are independent, so the loop updates all frames that have not stopped
 yet as one numpy batch, and a frame leaves the batch at the iteration where its
 own stopping test fires. Both matrix products, h = D^T f and G z, are GEMMs of
 one fixed shape: FRAME_BLOCK rows at a time, a short last block padded with
-zero rows (``_block_product``). For G z on 688 rows, the stacked matrix-vector
-products they replace took 0.68-0.74 us a row, the block GEMM 0.24 us.
-A GEMM over the whole batch is as fast, but its shape changes with the batch,
-BLAS picks its kernel path by shape, and a row's result moved by up to 2.7e-15
-as the batch size changed. With a single shape every call takes one path, and
-a row's result depended neither on its position in the block nor on the other
-rows in it. That held in 200 trials at every block size from 8 to 128 that is
-a multiple of 4, with one BLAS thread and with two (OpenBLAS 0.3.31, 2-core
-x86 host). At the other sizes the last (size mod 4) rows went through BLAS's
-edge kernel and could differ; FRAME_BLOCK = 64 is a multiple of the usual row
-unrolls, 4, 8 and 16. So a frame's activations are bit for bit the same alone
-and in any batch, in any order. A second path for small batches, such as one
+zero rows (``_block_product``). For G z on 688 rows the block sgemm takes
+0.086-0.091 us a row, against 0.31-0.33 us for the stacked float32
+matrix-vector products it replaces and 0.16 us for the float64 block GEMM it
+replaced (one BLAS thread). A GEMM over the whole batch is as fast, but its
+shape changes with the batch, and BLAS picks its kernel path by shape. In
+float64, a row's result moved by up to 2.7e-15 as the batch size changed. In
+float32, only a one-row batch differed, by one ulp: numpy sends it to gemv.
+With a single shape every call takes one path, and a row's result depended
+neither on its position in the block nor on the other rows in it. In float32
+that held at every block size from 1 to 128: 200 trials at each multiple of 4
+and 20 at each other size, with one BLAS thread and with two (OpenBLAS
+0.3.31, 2-core x86 host). In float64 it held at the multiples of 4 only; at
+the other sizes the last (size mod 4) rows went through BLAS's edge kernel
+and could differ. FRAME_BLOCK = 64 is a multiple of the usual row unrolls,
+4, 8 and 16. So a frame's activations are bit for bit the same alone and in
+any batch, in any order. A second path for small batches, such as one
 matrix-vector product per frame, would break that. The rest of the arithmetic
 is per frame; the restart test is a stack of dot products.
+
+The measurements below were taken in float64, before the solver moved to
+float32, and were not repeated.
 
 Two alternatives were measured and dropped (2-core x86 host, numpy 2.4, one
 BLAS thread). D is lower-triangular with 8 non-zeros a column, but applying it
@@ -72,10 +91,12 @@ from __future__ import annotations
 import numpy as np
 
 from .dictionary import NoteDictionary
-from .spectral import FRAME_BLOCK
+from .spectral import FRAME_BLOCK, WORK_DTYPE
 
 DEFAULT_TOL = 1e-4
 DEFAULT_MAX_ITER = 500
+# a step must lower 2 phi by this many eps * max|h| * ||z - x|| (see above)
+ROUNDING_MARGIN = 10.0
 
 
 def _block_product(a: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -86,7 +107,7 @@ def _block_product(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     rows. So every BLAS call has the same shape and a row's result does not
     depend on the batch.
     """
-    out = np.empty((len(a), m.shape[1]))
+    out = np.empty((len(a), m.shape[1]), a.dtype)
     whole = len(a) - len(a) % FRAME_BLOCK
     np.matmul(
         a[:whole].reshape(-1, FRAME_BLOCK, a.shape[1]),
@@ -94,7 +115,7 @@ def _block_product(a: np.ndarray, m: np.ndarray) -> np.ndarray:
         out=out[:whole].reshape(-1, FRAME_BLOCK, m.shape[1]),
     )
     if whole < len(a):
-        padded = np.zeros((FRAME_BLOCK, a.shape[1]))
+        padded = np.zeros((FRAME_BLOCK, a.shape[1]), a.dtype)
         padded[: len(a) - whole] = a[whole:]
         out[whole:] = (padded @ m)[: len(a) - whole]
     return out
@@ -117,7 +138,7 @@ def nnls_activations_batch(
     ``iterates``, when given, receives the activations before the first step
     and after every step; it needs a batch of one frame.
     """
-    frames = np.ascontiguousarray(frames, dtype=np.float64)
+    frames = np.ascontiguousarray(frames, dtype=WORK_DTYPE)
     h = _block_product(frames, dictionary.profiles)
     out = np.zeros_like(h)
     if iterates is not None:
@@ -128,12 +149,13 @@ def nnls_activations_batch(
     rows = np.flatnonzero(scale)
     h = h[rows]
     stop = tol * scale[rows]
+    slack = (ROUNDING_MARGIN * float(np.finfo(WORK_DTYPE).eps)) * scale[rows]
     gram, step_bound = dictionary.gram(), dictionary.step_bound()
     x = np.zeros_like(h)  # the iterate
     gx = -h  # its gradient G x - h
     v = h / step_bound  # its forward step x - gx / L
     w = v.copy()  # the forward step from the extrapolated point
-    t = np.ones(len(rows))  # FISTA's momentum sequence
+    t = np.ones(len(rows), WORK_DTYPE)  # FISTA's momentum sequence
     for _ in range(max_iter):
         if not len(rows):
             break
@@ -142,10 +164,13 @@ def nnls_activations_batch(
         g -= h  # the gradient G z - h
         kkt = np.minimum(z, g)  # the natural residual
         np.abs(kkt, out=kkt)
-        # reject when 2 (phi(z) - phi(x)) > 0; w and vz serve as scratch here,
-        # as a fresh array costs more than a pass over one
+        # reject when 2 (phi(z) - phi(x)) > -slack ||z - x||; w and vz serve as
+        # scratch here, as a fresh array costs more than a pass over one
         vz = g + gx
-        rejected = np.flatnonzero(_rowwise_dot(np.subtract(z, x, out=w), vz) > 0.0)
+        np.subtract(z, x, out=w)
+        change = _rowwise_dot(w, vz)
+        change += slack * np.sqrt(_rowwise_dot(w, w))
+        rejected = np.flatnonzero(change > 0.0)
         np.divide(g, step_bound, out=vz)
         np.subtract(z, vz, out=vz)  # z's forward step
         t_next = 0.5 + np.sqrt(0.25 + t * t)
@@ -167,7 +192,7 @@ def nnls_activations_batch(
             out[rows[stopped]] = x[stopped]
             going = ~stopped
             rows, x, gx, v, w = rows[going], x[going], gx[going], v[going], w[going]
-            h, t, stop = h[going], t[going], stop[going]
+            h, t, stop, slack = h[going], t[going], stop[going], slack[going]
     out[rows] = x  # the frames that used up max_iter
     return out
 
@@ -182,12 +207,14 @@ def nnls_residual_history(
 
     Runs ``nnls_activations_batch`` on a batch of one, so
     ``len(history) == iterations + 1``; used to check solver properties such
-    as the monotone non-increasing residual.
+    as the monotone non-increasing residual. The residuals are those of the
+    WORK_DTYPE problem the solver sees, computed in float64 so that their own
+    rounding neither hides nor fakes a rise.
     """
-    frame = np.asarray(frame, dtype=np.float64)
+    frame = np.asarray(frame, dtype=WORK_DTYPE)
     iterates: list[np.ndarray] = []
     activations = nnls_activations_batch(
         frame[None, :], dictionary, tol, max_iter, iterates
     )[0]
-    profiles = dictionary.profiles
-    return activations, [float(np.linalg.norm(profiles @ a - frame)) for a in iterates]
+    profiles, target = dictionary.profiles.astype(np.float64), frame.astype(np.float64)
+    return activations, [float(np.linalg.norm(profiles @ a - target)) for a in iterates]

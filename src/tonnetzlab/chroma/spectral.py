@@ -16,6 +16,9 @@ WINDOW_SIZE = 4096  # samples per STFT frame
 HOP = 2048  # samples between frame starts
 FRAME_BLOCK = 64  # frames per block of the STFT and the NNLS matrix products
 GAMMA = 100.0  # log compression of the PPM spectrogram
+# The audio path's one working precision, from the loaded samples through the
+# NNLS solve: a 16-bit sample needs 16 bits of the 24 that float32 carries.
+WORK_DTYPE = np.float32
 
 
 def frame_boundaries(count: int, total_samples: int, sample_rate: int) -> np.ndarray:
@@ -34,17 +37,19 @@ def stft(samples: np.ndarray) -> np.ndarray:
     the samples do not cover one window. Frames are windowed, transformed and
     rectified FRAME_BLOCK at a time into one preallocated array: each step's
     arrays then stay in cache (a 64 s track's whole-track windows, spectrum
-    and magnitudes are 11-22 MB each), and every frame's arithmetic is its
+    and magnitudes are 5.6-11 MB each), and every frame's arithmetic is its
     own, so the magnitudes are bit for bit those of the whole-track product.
+    Samples, window, spectrum and magnitudes are all in WORK_DTYPE (numpy 2's
+    ``rfft`` keeps float32 input in complex64).
     """
-    samples = np.asarray(samples, dtype=np.float64)
+    samples = np.asarray(samples, dtype=WORK_DTYPE)
     if len(samples) < WINDOW_SIZE:
         raise TonnetzlabError(
             f"need at least {WINDOW_SIZE} samples, got {len(samples)}"
         )
     windows = sliding_window_view(samples, WINDOW_SIZE)[::HOP]
-    hann = np.hanning(WINDOW_SIZE)
-    mags = np.empty((len(windows), WINDOW_SIZE // 2 + 1))
+    hann = np.hanning(WINDOW_SIZE).astype(WORK_DTYPE)
+    mags = np.empty((len(windows), WINDOW_SIZE // 2 + 1), WORK_DTYPE)
     for start in range(0, len(windows), FRAME_BLOCK):
         block = slice(start, start + FRAME_BLOCK)
         np.abs(np.fft.rfft(windows[block] * hann, axis=1), out=mags[block])
@@ -57,8 +62,9 @@ def log_freq_map(mags: np.ndarray, sample_rate: int) -> np.ndarray:
     Each note bin accumulates magnitudes under a triangular window of
     half-width one semitone centered at the note's 12-TET frequency. Only
     the FFT bins within a semitone of the note range carry weight, so only
-    they enter the product. Returns (n_frames, 73). Raises TonnetzlabError
-    for a rate below 8 kHz, or one so high that no bin lies in that range.
+    they enter the product; the weights are WORK_DTYPE. Returns (n_frames,
+    73). Raises TonnetzlabError for a rate below 8 kHz, or one so high that no
+    bin lies in that range.
     """
     if sample_rate < 8000:
         raise TonnetzlabError(
@@ -75,7 +81,7 @@ def log_freq_map(mags: np.ndarray, sample_rate: int) -> np.ndarray:
         )
     notes = np.arange(LOW_NOTE, HIGH_NOTE + 1, dtype=np.float64)
     weights = np.maximum(1.0 - np.abs(semis[lo:hi] - notes[:, None]), 0.0)
-    return mags[:, 1 + lo : 1 + hi] @ weights.T
+    return mags[:, 1 + lo : 1 + hi] @ weights.astype(WORK_DTYPE).T
 
 
 def render_spectrogram_ppm(mags: np.ndarray) -> bytes:

@@ -10,6 +10,7 @@ import numpy as np
 
 from ..errors import TonnetzlabError
 from ..record import record
+from .spectral import WORK_DTYPE
 
 
 @record
@@ -21,7 +22,11 @@ class AudioBuffer(NamedTuple):
 
 
 def load_wav(path: str | Path) -> AudioBuffer:
-    """Load a 16-bit PCM WAV file, downmixing stereo to mono by averaging."""
+    """Load a 16-bit PCM WAV file, downmixing stereo to mono by averaging.
+
+    The samples are WORK_DTYPE: ``code / 32768`` and the mean of two such values
+    are exact in float32, so every sample keeps its value.
+    """
     try:
         with wave.open(str(path), "rb") as handle:
             channels = handle.getnchannels()
@@ -47,7 +52,7 @@ def load_wav(path: str | Path) -> AudioBuffer:
 
     # a data chunk cut short can end mid-frame; drop the partial frame
     frames = frames[: len(frames) - len(frames) % (width * channels)]
-    data = np.frombuffer(frames, dtype="<i2").astype(np.float64) / 32768.0
+    data = np.frombuffer(frames, dtype="<i2").astype(WORK_DTYPE) / 32768.0
     if channels == 2:
         data = data.reshape(-1, 2).mean(axis=1)
     return AudioBuffer(data, rate)

@@ -30,6 +30,7 @@ from tonnetzlab.chroma.identify import (
 from tonnetzlab.chroma.nnls import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    ROUNDING_MARGIN,
     _block_product,
     nnls_activations_batch,
     nnls_residual_history,
@@ -39,6 +40,7 @@ from tonnetzlab.chroma.spectral import (
     HOP,
     LOW_NOTE,
     WINDOW_SIZE,
+    frame_boundaries,
     log_freq_map,
     render_spectrogram_ppm,
     stft,
@@ -129,8 +131,40 @@ def test_load_drops_a_partial_trailing_frame(tmp_path, channels, cut):
     if cut:
         path.write_bytes(path.read_bytes()[:-cut])
     kept = pcm[: len(pcm) - (cut > 0)]  # every cut here lands inside the last frame
-    expected = (kept.astype(np.float64) / 32768.0).mean(axis=1)
-    assert np.array_equal(load_wav(path).samples, expected)
+    expected = (kept.astype(np.float64) / 32768.0).mean(axis=1).astype(np.float32)
+    samples = load_wav(path).samples
+    assert samples.dtype == np.float32
+    assert np.array_equal(samples, expected)
+
+
+def _write_pcm(path, pcm: np.ndarray, rate: int = 8000) -> None:
+    with wave.open(str(path), "wb") as handle:
+        handle.setnchannels(pcm.shape[1])
+        handle.setsampwidth(2)
+        handle.setframerate(rate)
+        handle.writeframes(pcm.astype("<i2").tobytes())
+
+
+def test_load_keeps_every_int16_code_exactly(tmp_path):
+    codes = np.arange(-32768, 32768)
+    path = tmp_path / "codes.wav"
+    _write_pcm(path, codes[:, None])
+    samples = load_wav(path).samples
+    assert samples.dtype == np.float32
+    # compared in float64: each float32 sample is exactly code / 32768
+    assert np.array_equal(samples.astype(np.float64), codes / 32768.0)
+
+
+def test_load_takes_the_exact_mean_of_two_channels(tmp_path):
+    codes = np.arange(-32768, 32768)
+    # every code meets its reverse, and a shuffle of the codes
+    right = np.concatenate((codes[::-1], np.random.default_rng(3).permutation(codes)))
+    left = np.concatenate((codes, codes))
+    path = tmp_path / "stereo.wav"
+    _write_pcm(path, np.stack((left, right), axis=1))
+    samples = load_wav(path).samples
+    assert samples.dtype == np.float32
+    assert np.array_equal(samples.astype(np.float64), (left + right) / 65536.0)
 
 
 def test_write_read_round_trip(tmp_path):
@@ -174,11 +208,12 @@ def test_stft_too_short():
 
 
 # The list-stacked framing that stft's strided view replaced, kept as the
-# reference the spectrogram must match bit for bit.
+# reference the spectrogram must match bit for bit; in float32, as stft works.
 def _reference_stft_frames(samples: np.ndarray) -> np.ndarray:
     window_size, hop = 4096, 2048
+    samples = samples.astype(np.float32)
     count = (len(samples) - window_size) // hop + 1
-    window = np.hanning(window_size)
+    window = np.hanning(window_size).astype(np.float32)
     stacked = np.stack(
         [samples[i * hop : i * hop + window_size] * window for i in range(count)]
     )
@@ -193,10 +228,11 @@ def test_stft_matches_reference_framing_on_a_noisy_buffer(extra):
 
 
 # The whole-track product that stft's FRAME_BLOCK loop replaced, kept as the
-# reference the blocks must match bit for bit.
+# reference the blocks must match bit for bit; in float32, as stft works.
 def _reference_stft_magnitudes(samples: np.ndarray) -> np.ndarray:
-    windows = sliding_window_view(samples, WINDOW_SIZE)[::HOP]
-    return np.abs(np.fft.rfft(windows * np.hanning(WINDOW_SIZE), axis=1))
+    windows = sliding_window_view(samples.astype(np.float32), WINDOW_SIZE)[::HOP]
+    window = np.hanning(WINDOW_SIZE).astype(np.float32)
+    return np.abs(np.fft.rfft(windows * window, axis=1))
 
 
 @pytest.mark.parametrize("count", [1, 63, 64, 65, 129, 688])
@@ -241,7 +277,8 @@ def test_log_freq_rejects_low_sample_rate():
 
 
 # The full (notes x bins) triangle table that log_freq_map's slice of weighted
-# bins replaced, kept as the reference it must match to rounding.
+# bins replaced, kept as the reference it must match to float32 rounding. It
+# computes in float64 from the same float32 magnitudes.
 def _reference_log_freq_map(mags: np.ndarray, sample_rate: int) -> np.ndarray:
     freqs = np.fft.rfftfreq(4096, 1.0 / sample_rate)
     semis = np.full_like(freqs, -1e9)
@@ -259,7 +296,9 @@ def test_log_freq_map_matches_the_full_table(sample_rate):
     expected = _reference_log_freq_map(mags, sample_rate)
     got = log_freq_map(mags, sample_rate)
     assert got.shape == expected.shape
-    assert (np.abs(got - expected) <= 1e-12 * expected.max(axis=1, keepdims=True)).all()
+    assert got.dtype == np.float32
+    bound = 16 * np.finfo(np.float32).eps * expected.max(axis=1, keepdims=True)
+    assert (np.abs(got - expected) <= bound).all()
     assert got.any()
 
 
@@ -364,14 +403,16 @@ def test_nnls_scale_equivariant():
 
 def _block_row(row: np.ndarray, m: np.ndarray) -> np.ndarray:
     """``row @ m`` as the solver computes it: row 0 of a zero-padded block."""
-    block = np.zeros((FRAME_BLOCK, len(row)))
+    block = np.zeros((FRAME_BLOCK, len(row)), np.float32)
     block[0] = row
     return (block @ m)[0]
 
 
 # The FISTA iteration of chroma.nnls.nnls_activations_batch written out for one
-# frame, the reference the batched solver must match bit for bit. Its two
-# matrix products take the solver's one GEMM shape, the FRAME_BLOCK-row block.
+# frame, the reference the batched solver must match bit for bit. It computes
+# in float32, as the solver does, and its two matrix products take the
+# solver's one GEMM shape, the FRAME_BLOCK-row block. The residuals are taken
+# in float64, as nnls_residual_history takes them.
 def nnls_solve_one(
     frame: np.ndarray,
     tol: float = DEFAULT_TOL,
@@ -382,31 +423,36 @@ def nnls_solve_one(
     dictionary = build_note_dictionary()
     profiles, gram = dictionary.profiles, dictionary.gram()
     step_bound = dictionary.step_bound()
+    frame = np.asarray(frame, np.float32)
     target = _block_row(frame, profiles)
-    x = np.zeros(gram.shape[0])
+    x = np.zeros(gram.shape[0], np.float32)
     history = [] if residual_history is None else residual_history
-    history.append(float(np.linalg.norm(profiles @ x - frame)))
+    exact_profiles, exact_frame = profiles.astype(np.float64), frame.astype(np.float64)
+    history.append(float(np.linalg.norm(exact_profiles @ x - exact_frame)))
     if not target.any():
         return x
-    stop = tol * float(np.abs(target).max())
+    stop = tol * np.abs(target).max()
+    slack = ROUNDING_MARGIN * float(np.finfo(np.float32).eps) * np.abs(target).max()
     gx = -target  # x's gradient gram @ x - target
     v = target / step_bound  # x's forward step x - gx / step_bound
     w = v  # the forward step from the extrapolated point
-    t = 1.0
+    t = np.float32(1.0)
     for _ in range(max_iter):
         z = np.maximum(w, 0.0)
         g = _block_row(z, gram) - target
         stopped = False
-        # the objective would rise: keep x, drop the momentum
-        if float((z - x) @ (g + gx)) > 0.0:
-            w, t = v, 1.0
+        # the objective would not fall by more than float32 resolves: keep x,
+        # drop the momentum
+        delta = z - x
+        if float(delta @ (g + gx) + slack * np.sqrt(delta @ delta)) > 0.0:
+            w, t = v, np.float32(1.0)
         else:
             stopped = np.abs(np.minimum(z, g)).max() <= stop
             v_z = z - g / step_bound
-            t_next = 0.5 + math.sqrt(0.25 + t * t)
+            t_next = 0.5 + np.sqrt(0.25 + t * t)
             w = v_z + (t - 1.0) / t_next * (v_z - v)
             x, gx, v, t = z, g, v_z, t_next
-        history.append(float(np.linalg.norm(profiles @ x - frame)))
+        history.append(float(np.linalg.norm(exact_profiles @ x - exact_frame)))
         if stopped:
             break
     return x
@@ -414,7 +460,7 @@ def nnls_solve_one(
 
 def _reference_batch(frames: np.ndarray, max_iter: int = DEFAULT_MAX_ITER):
     """Row-by-row reference solve; returns activations and iterations per row."""
-    out = np.zeros_like(frames)
+    out = np.zeros(frames.shape, np.float32)
     iterations = []
     for i, frame in enumerate(frames):
         history: list[float] = []
@@ -474,9 +520,10 @@ def test_nnls_batch_satisfies_stationarity():
     frames = np.abs(np.random.default_rng(0).standard_normal((6, 73)))
     targets = frames @ dictionary.profiles
     # tolerances well past the default probe the limit point; every frame
-    # must reach them, not stall until max_iter
+    # must reach them, not stall until max_iter. float32 resolves the KKT
+    # residual down to about 1e-6 of max|h| (see chroma.nnls)
     max_iter = 20000
-    for tol in (1e-8, 1e-14):
+    for tol in (1e-5, 1e-6):
         assert all(_iterations(frame, tol, max_iter) < max_iter for frame in frames)
         out = nnls_activations_batch(frames, dictionary, tol, max_iter)
         grad = out @ dictionary.gram() - targets
@@ -503,10 +550,11 @@ def test_nnls_empty_batch():
 
 @st.composite
 def _frame_batches(draw, counts=st.integers(0, 40)):
-    """Non-negative frames, 0-40 unless ``counts`` says otherwise, some rows all
-    zero, and a permutation of them."""
+    """Non-negative float32 frames, as the solver takes them, 0-40 unless
+    ``counts`` says otherwise, some rows all zero, and a permutation of them."""
     count = draw(counts)
-    frames = draw(hnp.arrays(np.float64, (count, 73), elements=st.floats(0.0, 100.0)))
+    elements = st.floats(0.0, 100.0, width=32)
+    frames = draw(hnp.arrays(np.float32, (count, 73), elements=elements))
     frames[draw(hnp.arrays(np.bool_, count))] = 0.0
     return frames, np.array(draw(st.permutations(range(count))), dtype=np.intp)
 
@@ -551,10 +599,12 @@ def test_block_product_rows_do_not_depend_on_position_or_neighbours():
     dictionary = build_note_dictionary()
     rng = np.random.default_rng(9)
     rows = np.abs(rng.standard_normal((3, 73))) * [[1.0], [1e-3], [1e3]]
+    rows = rows.astype(np.float32)
+    zeros = np.zeros((FRAME_BLOCK, 73), np.float32)
+    noise = rng.random((FRAME_BLOCK, 73), np.float32)
     for m in (dictionary.profiles, dictionary.gram()):
         for row in rows:
             alone = _block_product(row[None, :], m)[0]
-            zeros, noise = np.zeros((FRAME_BLOCK, 73)), rng.random((FRAME_BLOCK, 73))
             for neighbours in (zeros, noise):
                 for position in range(FRAME_BLOCK):
                     block = neighbours.copy()
@@ -563,15 +613,16 @@ def test_block_product_rows_do_not_depend_on_position_or_neighbours():
 
 
 # The block-by-block loop that _block_product's stacked matmul replaced, kept
-# as the reference it must match bit for bit.
+# as the reference it must match bit for bit; in float32, as the solver works.
 def _reference_block_product(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    out = np.empty((len(a), m.shape[1]))
+    a, m = a.astype(np.float32), m.astype(np.float32)
+    out = np.empty((len(a), m.shape[1]), np.float32)
     whole = len(a) - len(a) % FRAME_BLOCK
     for start in range(0, whole, FRAME_BLOCK):
         block = slice(start, start + FRAME_BLOCK)
         np.matmul(a[block], m, out=out[block])
     if whole < len(a):
-        padded = np.zeros((FRAME_BLOCK, a.shape[1]))
+        padded = np.zeros((FRAME_BLOCK, a.shape[1]), np.float32)
         padded[: len(a) - whole] = a[whole:]
         out[whole:] = (padded @ m)[: len(a) - whole]
     return out
@@ -580,7 +631,7 @@ def _reference_block_product(a: np.ndarray, m: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("rows", [1, 63, 64, 65, 300, 688, 2000])
 def test_block_product_matches_the_block_loop(rows):
     dictionary = build_note_dictionary()
-    a = np.abs(np.random.default_rng(rows).standard_normal((rows, 73)))
+    a = np.abs(np.random.default_rng(rows).standard_normal((rows, 73), np.float32))
     for m in (dictionary.profiles, dictionary.gram()):
         assert np.array_equal(_block_product(a, m), _reference_block_product(a, m))
 
@@ -654,6 +705,44 @@ def test_nnls_matches_exact_nnls_on_acceptance_corpus(snr_db):
     # per frame, the largest activation error relative to the largest activation
     deviation = np.abs(activations - exact).max(axis=1) / exact.max(axis=1)
     assert deviation.max() <= 5e-3
+
+
+@pytest.mark.parametrize("snr_db", [30.0, 10.0])
+def test_float32_activations_give_the_labels_of_exact_nnls(snr_db):
+    scipy_nnls = pytest.importorskip("scipy.optimize").nnls
+    dictionary = build_note_dictionary()
+    buffer = _acceptance_buffer(snr_db)
+    mags = stft(buffer.samples)
+    frames = log_freq_map(mags, buffer.sample_rate)
+    activations = nnls_activations_batch(frames, dictionary)
+    assert activations.dtype == np.float32
+    profiles = dictionary.profiles.astype(np.float64)
+    exact = np.array([scipy_nnls(profiles, frame.astype(np.float64))[0] for frame in frames])
+    boundaries = frame_boundaries(len(mags), len(buffer.samples), buffer.sample_rate)
+    got = match_chords(chroma_fold(activations), boundaries)
+    assert got == match_chords(chroma_fold(exact), boundaries)
+    assert [s.label for s in got][:2] == ["A", "E"]
+
+
+def test_a_16_bit_wav_stays_float32_through_the_solve(tmp_path):
+    """Every stage from the loaded samples through the NNLS iterates is float32;
+    a float64 scalar anywhere (NEP 50) would promote the arrays after it."""
+    path = tmp_path / "take.wav"
+    buffer = _acceptance_buffer()
+    write_wav(path, buffer.samples, buffer.sample_rate)
+    samples, rate = load_wav(path)
+    mags = stft(samples)
+    frames = log_freq_map(mags, rate)
+    dictionary = build_note_dictionary()
+    activations = nnls_activations_batch(frames, dictionary)
+    for array in (samples, mags, frames, dictionary.profiles, dictionary.gram(), activations):
+        assert array.dtype == np.float32
+    assert type(dictionary.step_bound()) is float
+    iterates: list[np.ndarray] = []
+    loud = frames[np.abs(frames).sum(axis=1).argmax()]
+    nnls_activations_batch(loud[None, :], dictionary, iterates=iterates)
+    assert len(iterates) > 2
+    assert {x.dtype for x in iterates} == {np.dtype(np.float32)}
 
 
 # ----------------------------------------------------------- chroma + ID
