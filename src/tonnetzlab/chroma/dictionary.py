@@ -21,12 +21,6 @@ HARMONICS = 8
 DECAY = 0.8
 
 
-def _read_only(matrix: np.ndarray) -> np.ndarray:
-    matrix = matrix.astype(WORK_DTYPE)
-    matrix.flags.writeable = False
-    return matrix
-
-
 class NoteDictionary:
     """The dictionary's matrices in WORK_DTYPE, read-only; hashed by identity.
 
@@ -38,9 +32,10 @@ class NoteDictionary:
 
     def __init__(self, profiles: np.ndarray) -> None:
         gram = profiles.T @ profiles
-        self._profiles = _read_only(profiles)
-        self._gram = _read_only(gram)
         self._step_bound = float(np.linalg.eigvalsh(gram)[-1])
+        self._profiles = profiles.astype(WORK_DTYPE)
+        self._gram = gram.astype(WORK_DTYPE)
+        self._profiles.flags.writeable = self._gram.flags.writeable = False
 
     @property
     def profiles(self) -> np.ndarray:

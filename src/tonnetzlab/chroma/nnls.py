@@ -18,18 +18,23 @@ then carries a rounding error of a few eps * max|h| in each coordinate (eps =
 little. So a step is kept only when 2 (phi(z) - phi(x)) reads below
 -ROUNDING_MARGIN * eps * max|h| * ||z - x||. Over 101,342 kept steps of random
 and synthetic-track frames, the float32 change missed a float64 one by 0.39
-of that unit in the median and 7.3 at most; without the margin, a frame that
-a property test drew rose by 1.1e-9 in residual. With it, the KKT residual
-below still falls to 1e-6 * max|h|, a hundredth of DEFAULT_TOL; from about
-3e-7 down the steps fall inside the rounding, and frames can run to max_iter.
+of that unit in the median and 7.3 at most. Without the margin, a frame that
+a property test drew rose by 1.1e-9 in residual: a step that raised 2 phi by
+2.6e-7, about one unit, read as a fall. Taking that dot product in float64
+kept the rise, as the error sits in the float32 gradients. Near the optimum
+a plain projected step (no momentum, t == 1) falls inside the margin too.
+Rejecting it leaves x, v and t as they were, so the same step would come
+again at every iteration: the frame stops there, with the activations it
+would hold at max_iter. So tight tolerances end at float32's resolution
+rather than at max_iter.
 
 A frame stops when its KKT natural residual max|min(a, g)| falls to
-``tol * max|h|``, which does not change when the frame is scaled, or after
-``max_iter`` steps. D is invertible, so h == 0 exactly when f == 0; such a
-frame is solved by a == 0 and never takes a step. Each step costs one product
-with G: the forward step a - g / L is affine in a, so the forward step from the
-extrapolated point is the same combination of the carried forward steps of the
-last two iterates.
+``tol * max|h|``, which does not change when the frame is scaled, when its
+plain step is rejected, or after ``max_iter`` steps. D is invertible, so
+h == 0 exactly when f == 0; such a frame is solved by a == 0 and never takes
+a step. Each step costs one product with G: the forward step a - g / L is
+affine in a, so the forward step from the extrapolated point is the same
+combination of the carried forward steps of the last two iterates.
 
 Frames are independent, so the loop updates all frames that have not stopped
 yet as one numpy batch, and a frame leaves the batch at the iteration where its
@@ -183,8 +188,10 @@ def nnls_activations_batch(
             z[rejected] = x[rejected]
             g[rejected] = gx[rejected]
             vz[rejected] = w[rejected] = v[rejected]
+            # a rejected plain step (t == 1) would repeat exactly: x is as close
+            # as float32 gets, so the frame stops there
+            stopped[rejected] = t[rejected] == 1.0
             t_next[rejected] = 1.0
-            stopped[rejected] = False
         x, gx, v, t = z, g, vz, t_next
         if iterates is not None:
             iterates.append(x[0].copy())

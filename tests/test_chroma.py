@@ -277,27 +277,41 @@ def test_log_freq_rejects_low_sample_rate():
 
 
 # The full (notes x bins) triangle table that log_freq_map's slice of weighted
-# bins replaced, kept as the reference it must match to float32 rounding. It
-# computes in float64 from the same float32 magnitudes.
-def _reference_log_freq_map(mags: np.ndarray, sample_rate: int) -> np.ndarray:
+# bins replaced, kept as the reference. It takes the same float32 weights and
+# magnitudes, and sums their products in float64: each product is exact there
+# (24 + 24 bits of 53), so only the float64 sums round. Returns the reference
+# and the number of non-zero weights of each note.
+def _reference_log_freq_map(mags: np.ndarray, sample_rate: int):
     freqs = np.fft.rfftfreq(4096, 1.0 / sample_rate)
     semis = np.full_like(freqs, -1e9)
     positive = freqs > 0
     semis[positive] = 69.0 + 12.0 * np.log2(freqs[positive] / 440.0)
     notes = np.arange(24, 97, dtype=np.float64)
     table = np.maximum(1.0 - np.abs(semis[None, :] - notes[:, None]), 0.0)
-    return mags @ table.T
+    table = table.astype(np.float32).astype(np.float64)
+    return mags.astype(np.float64) @ table.T, np.count_nonzero(table, axis=1)
+
+
+def _gamma(terms: np.ndarray, unit_roundoff: float) -> np.ndarray:
+    """Higham's gamma_m = m u / (1 - m u): the relative error bound of a sum of
+    m rounded products in any order (Accuracy and Stability of Numerical
+    Algorithms, section 3.1)."""
+    return terms * unit_roundoff / (1.0 - terms * unit_roundoff)
 
 
 # at 9.08 MHz only the first FFT bin lies in the top note's window
 @pytest.mark.parametrize("sample_rate", [8000, 22050, 44100, 9_080_000])
 def test_log_freq_map_matches_the_full_table(sample_rate):
     mags = stft(_acceptance_buffer(noise_snr_db=10.0).samples)
-    expected = _reference_log_freq_map(mags, sample_rate)
+    expected, terms = _reference_log_freq_map(mags, sample_rate)
     got = log_freq_map(mags, sample_rate)
     assert got.shape == expected.shape
     assert got.dtype == np.float32
-    bound = 16 * np.finfo(np.float32).eps * expected.max(axis=1, keepdims=True)
+    # A note sums m = terms non-zero products; a zero weight adds an exact 0.
+    # Every term is >= 0, so the sum of their magnitudes is the exact sum s,
+    # and float32 lands within gamma_m(2^-24) s of it, the float64 reference
+    # within gamma_m(2^-53) s. With s <= expected / (1 - gamma_m(2^-53)):
+    bound = (_gamma(terms, 2.0**-24) + 2 * _gamma(terms, 2.0**-53)) * expected
     assert (np.abs(got - expected) <= bound).all()
     assert got.any()
 
@@ -445,6 +459,7 @@ def nnls_solve_one(
         # drop the momentum
         delta = z - x
         if float(delta @ (g + gx) + slack * np.sqrt(delta @ delta)) > 0.0:
+            stopped = t == 1.0  # a plain step, rejected, would repeat exactly
             w, t = v, np.float32(1.0)
         else:
             stopped = np.abs(np.minimum(z, g)).max() <= stop
@@ -520,10 +535,9 @@ def test_nnls_batch_satisfies_stationarity():
     frames = np.abs(np.random.default_rng(0).standard_normal((6, 73)))
     targets = frames @ dictionary.profiles
     # tolerances well past the default probe the limit point; every frame
-    # must reach them, not stall until max_iter. float32 resolves the KKT
-    # residual down to about 1e-6 of max|h| (see chroma.nnls)
+    # must reach them, not stall until max_iter
     max_iter = 20000
-    for tol in (1e-5, 1e-6):
+    for tol in (1e-8, 1e-14):
         assert all(_iterations(frame, tol, max_iter) < max_iter for frame in frames)
         out = nnls_activations_batch(frames, dictionary, tol, max_iter)
         grad = out @ dictionary.gram() - targets
