@@ -18,9 +18,9 @@ then carries a rounding error of a few eps * max|h| in each coordinate (eps =
 little. So a step is kept only when 2 (phi(z) - phi(x)) reads below
 -ROUNDING_MARGIN * eps * max|h| * ||z - x||. Over 101,342 kept steps of random
 and synthetic-track frames, the float32 change missed a float64 one by 0.39
-of that unit in the median and 7.3 at most. Without the margin, a frame that
-a property test drew rose by 1.1e-9 in residual: a step that raised 2 phi by
-2.6e-7, about one unit, read as a fall. Taking that dot product in float64
+of that unit in the median and 7.3 at most. Without the margin (with the
+plain-step stop below), a frame that a property test drew rose by 1.1e-9 in
+residual: a step that raised 2 phi by 2.6e-7, about one unit, read as a fall. Taking that dot product in float64
 kept the rise, as the error sits in the float32 gradients. Near the optimum
 a plain projected step (no momentum, t == 1) falls inside the margin too.
 Rejecting it leaves x, v and t as they were, so the same step would come
