@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import TonnetzlabError
 from ..harmony import ALL_TRIADS
@@ -49,9 +50,13 @@ def chroma_fold(activations: np.ndarray) -> np.ndarray:
 
 
 def _median_smooth(indices: np.ndarray) -> np.ndarray:
-    half = SMOOTH_FRAMES // 2
+    half, count = SMOOTH_FRAMES // 2, len(indices)
     out = np.empty_like(indices)
-    for i in range(len(indices)):
+    if count >= SMOOTH_FRAMES:
+        windows = np.sort(sliding_window_view(indices, SMOOTH_FRAMES), axis=1)
+        out[half : count - half] = windows[:, half]
+    # the windows cut short at either end take their upper median
+    for i in (*range(min(half, count)), *range(max(half, count - half), count)):
         window = np.sort(indices[max(0, i - half) : i + half + 1])
         out[i] = window[len(window) // 2]
     return out

@@ -126,11 +126,6 @@ def _block_product(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product of each row of ``a`` with the same row of ``b``."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 def nnls_activations_batch(
     frames: np.ndarray,
     dictionary: NoteDictionary,
@@ -173,8 +168,8 @@ def nnls_activations_batch(
         # scratch here, as a fresh array costs more than a pass over one
         vz = g + gx
         np.subtract(z, x, out=w)
-        change = _rowwise_dot(w, vz)
-        change += slack * np.sqrt(_rowwise_dot(w, w))
+        change = np.vecdot(w, vz)
+        change += slack * np.sqrt(np.vecdot(w, w))
         rejected = np.flatnonzero(change > 0.0)
         np.divide(g, step_bound, out=vz)
         np.subtract(z, vz, out=vz)  # z's forward step
@@ -183,7 +178,7 @@ def nnls_activations_batch(
         np.subtract(vz, v, out=w)
         w *= ((t - 1.0) / t_next)[:, None]
         w += vz
-        stopped = kkt.max(axis=1) <= stop
+        stopped = (kkt <= stop[:, None]).all(axis=1)
         if len(rejected):  # keep x, drop the momentum: a plain projected step is next
             z[rejected] = x[rejected]
             g[rejected] = gx[rejected]

@@ -52,7 +52,9 @@ def load_wav(path: str | Path) -> AudioBuffer:
 
     # a data chunk cut short can end mid-frame; drop the partial frame
     frames = frames[: len(frames) - len(frames) % (width * channels)]
-    data = np.frombuffer(frames, dtype="<i2").astype(WORK_DTYPE) / 32768.0
+    data = np.multiply(
+        np.frombuffer(frames, dtype="<i2"), WORK_DTYPE(2**-15), dtype=WORK_DTYPE
+    )
     if channels == 2:
         data = data.reshape(-1, 2).mean(axis=1)
     return AudioBuffer(data, rate)

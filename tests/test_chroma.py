@@ -21,6 +21,7 @@ from tonnetzlab.chroma.dictionary import build_note_dictionary
 from tonnetzlab.chroma.identify import (
     _TEMPLATES_UNIT,
     ENERGY_FLOOR,
+    SMOOTH_FRAMES,
     ChordEstimate,
     _median_smooth,
     chroma_fold,
@@ -809,6 +810,23 @@ def test_chroma_fold_matches_reference_on_acceptance_corpus():
     assert np.array_equal(chroma_fold(activations), _reference_chroma_fold(activations))
 
 
+# The frame loop that _median_smooth's one sort of the whole windows replaced,
+# kept as the reference it must match.
+def _reference_median_smooth(indices: np.ndarray) -> np.ndarray:
+    half = SMOOTH_FRAMES // 2
+    out = np.empty_like(indices)
+    for i in range(len(indices)):
+        window = np.sort(indices[max(0, i - half) : i + half + 1])
+        out[i] = window[len(window) // 2]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.intp, st.integers(0, 40), elements=st.integers(0, 24)))
+def test_median_smooth_matches_the_frame_loop(indices):
+    assert np.array_equal(_median_smooth(indices), _reference_median_smooth(indices))
+
+
 # The frame-by-frame loop that match_chords' cut at label changes replaced,
 # kept as the reference its segments must equal.
 def _reference_match_chords(chroma: np.ndarray, boundaries: np.ndarray) -> list:
@@ -817,7 +835,8 @@ def _reference_match_chords(chroma: np.ndarray, boundaries: np.ndarray) -> list:
     safe = np.where(norms > 0, norms, 1.0)
     best = ((chroma / safe[:, None]) @ _TEMPLATES_UNIT.T).argmax(axis=1)
     threshold = ENERGY_FLOOR * float(energy.max())
-    indices = _median_smooth(np.where((energy > 0) & (energy >= threshold), best, 24))
+    voiced = (energy > 0) & (energy >= threshold)
+    indices = _reference_median_smooth(np.where(voiced, best, 24))
     segments = []
     start = 0
     for i in range(1, len(chroma) + 1):
