@@ -102,6 +102,10 @@ DEFAULT_TOL = 1e-4
 DEFAULT_MAX_ITER = 500
 # a step must lower 2 phi by this many eps * max|h| * ||z - x|| (see above)
 ROUNDING_MARGIN = 10.0
+# the step is STEP_SCALE / L, below the 2 / L that keeps a step a descent
+STEP_SCALE = 1.5
+# FISTA-Mod's momentum sequence t' = 1/2 + sqrt(1/4 + MOMENTUM t^2)
+MOMENTUM = 0.75
 
 
 def _block_product(a: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -150,10 +154,10 @@ def nnls_activations_batch(
     h = h[rows]
     stop = tol * scale[rows]
     slack = (ROUNDING_MARGIN * float(np.finfo(WORK_DTYPE).eps)) * scale[rows]
-    gram, step_bound = dictionary.gram(), dictionary.step_bound()
+    gram, step = dictionary.gram(), STEP_SCALE / dictionary.step_bound()
     x = np.zeros_like(h)  # the iterate
     gx = -h  # its gradient G x - h
-    v = h / step_bound  # its forward step x - gx / L
+    v = h * step  # its forward step x - step gx
     w = v.copy()  # the forward step from the extrapolated point
     t = np.ones(len(rows), WORK_DTYPE)  # FISTA's momentum sequence
     for _ in range(max_iter):
@@ -171,9 +175,9 @@ def nnls_activations_batch(
         change = np.vecdot(w, vz)
         change += slack * np.sqrt(np.vecdot(w, w))
         rejected = np.flatnonzero(change > 0.0)
-        np.divide(g, step_bound, out=vz)
+        np.multiply(g, step, out=vz)
         np.subtract(z, vz, out=vz)  # z's forward step
-        t_next = 0.5 + np.sqrt(0.25 + t * t)
+        t_next = 0.5 + np.sqrt(0.25 + MOMENTUM * t * t)
         # the forward step from z + beta (z - x) is vz + beta (vz - v)
         np.subtract(vz, v, out=w)
         w *= ((t - 1.0) / t_next)[:, None]

@@ -31,7 +31,9 @@ from tonnetzlab.chroma.identify import (
 from tonnetzlab.chroma.nnls import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    MOMENTUM,
     ROUNDING_MARGIN,
+    STEP_SCALE,
     _block_product,
     nnls_activations_batch,
     nnls_residual_history,
@@ -437,7 +439,7 @@ def nnls_solve_one(
     """Solve one NNLS instance; optionally record ||D x - f|| per iteration."""
     dictionary = build_note_dictionary()
     profiles, gram = dictionary.profiles, dictionary.gram()
-    step_bound = dictionary.step_bound()
+    step = STEP_SCALE / dictionary.step_bound()
     frame = np.asarray(frame, np.float32)
     target = _block_row(frame, profiles)
     x = np.zeros(gram.shape[0], np.float32)
@@ -449,7 +451,7 @@ def nnls_solve_one(
     stop = tol * np.abs(target).max()
     slack = ROUNDING_MARGIN * float(np.finfo(np.float32).eps) * np.abs(target).max()
     gx = -target  # x's gradient gram @ x - target
-    v = target / step_bound  # x's forward step x - gx / step_bound
+    v = target * step  # x's forward step x - step gx
     w = v  # the forward step from the extrapolated point
     t = np.float32(1.0)
     for _ in range(max_iter):
@@ -464,8 +466,8 @@ def nnls_solve_one(
             w, t = v, np.float32(1.0)
         else:
             stopped = np.abs(np.minimum(z, g)).max() <= stop
-            v_z = z - g / step_bound
-            t_next = 0.5 + np.sqrt(0.25 + t * t)
+            v_z = z - g * step
+            t_next = 0.5 + np.sqrt(0.25 + MOMENTUM * t * t)
             w = v_z + (t - 1.0) / t_next * (v_z - v)
             x, gx, v, t = z, g, v_z, t_next
         history.append(float(np.linalg.norm(exact_profiles @ x - exact_frame)))
@@ -510,8 +512,8 @@ def _acceptance_buffer(noise_snr_db: float = 30.0, repeats: int = 1) -> AudioBuf
 def test_nnls_batch_matches_reference_on_acceptance_corpus():
     frames = _semitone_frames(_acceptance_buffer())
     frames[len(frames) // 2] = 0.0
-    # these frames take 38-87 iterations: at 75 a few are cut off
-    max_iter = 75
+    # these frames take 29-58 iterations: at 50 a few are cut off
+    max_iter = 50
     expected, iterations = _reference_batch(frames, max_iter)
     assert iterations[len(frames) // 2] == 0
     assert 0 < min(it for it in iterations if it) < max(iterations) == max_iter
