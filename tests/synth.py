@@ -92,12 +92,14 @@ def chord_sequence(
         ]
     )
     if noise_snr_db is not None:
-        rng = np.random.default_rng(seed)
-        noise = rng.standard_normal(audio.size)
-        signal_rms = np.sqrt(np.mean(audio**2))
-        noise_rms = np.sqrt(np.mean(noise**2))
-        audio = audio + noise * (
-            signal_rms / noise_rms * 10.0 ** (-noise_snr_db / 20.0)
-        )
-        audio = np.clip(audio, -1.0, 1.0)
+        audio = add_noise(audio, noise_snr_db, seed)
     return AudioBuffer(audio, sample_rate)
+
+
+def add_noise(audio: np.ndarray, snr_db: float, seed: int = 0) -> np.ndarray:
+    """``audio`` plus white Gaussian noise at ``snr_db``, clipped to [-1, 1]."""
+    noise = np.random.default_rng(seed).standard_normal(audio.size)
+    signal_rms = np.sqrt(np.mean(audio**2))
+    noise_rms = np.sqrt(np.mean(noise**2))
+    audio = audio + noise * (signal_rms / noise_rms * 10.0 ** (-snr_db / 20.0))
+    return np.clip(audio, -1.0, 1.0)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import quality
 import synth
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -739,6 +740,32 @@ def test_float32_activations_give_the_labels_of_exact_nnls(snr_db):
     got = match_chords(chroma_fold(activations), boundaries)
     assert got == match_chords(chroma_fold(exact), boundaries)
     assert [s.label for s in got][:2] == ["A", "E"]
+
+
+@pytest.mark.parametrize("snr_db", [30.0, 20.0, 10.0, 0.0])
+def test_frame_labels_are_those_of_exact_nnls_away_from_ties(snr_db):
+    """Before smoothing, every frame whose two best template cosines under
+    exact NNLS lie at least quality.TIE_MARGIN apart gets exact NNLS's label."""
+    pytest.importorskip("scipy.optimize")
+    frames = _semitone_frames(_acceptance_buffer(snr_db))
+    exact = quality.exact_cosines(frames)
+    activations = nnls_activations_batch(frames, build_note_dictionary())
+    got = quality.template_cosines(chroma_fold(activations)).argmax(axis=1)
+    clear = ~quality.ties(exact)
+    assert np.array_equal(got[clear], exact.argmax(axis=1)[clear])
+
+
+# The frame-iterations of the 171 frames above at 10 dB: 11,220 with the 1/L
+# step and FISTA's momentum sequence, 8,318 with STEP_SCALE and MOMENTUM.
+ACCEPTANCE_10DB_ITERATIONS = 8318
+
+
+def test_nnls_takes_no_more_steps_on_the_acceptance_sequence():
+    frames = _semitone_frames(_acceptance_buffer(10.0))
+    assert len(frames) == 171
+    dictionary = build_note_dictionary()
+    steps = sum(len(nnls_residual_history(f, dictionary)[1]) - 1 for f in frames)
+    assert steps <= ACCEPTANCE_10DB_ITERATIONS
 
 
 def test_a_16_bit_wav_stays_float32_through_the_solve(tmp_path):
