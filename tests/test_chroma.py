@@ -755,17 +755,23 @@ def test_frame_labels_are_those_of_exact_nnls_away_from_ties(snr_db):
     assert np.array_equal(got[clear], exact.argmax(axis=1)[clear])
 
 
-# The frame-iterations of the 171 frames above at 10 dB: 11,220 with the 1/L
-# step and FISTA's momentum sequence, 8,318 with STEP_SCALE and MOMENTUM.
-ACCEPTANCE_10DB_ITERATIONS = 8318
+# The frame-iterations of the 171 frames above, by SNR: 11,220 at 10 dB and
+# 13,468 at 0 dB with the 1/L step and FISTA's momentum sequence; 8,318 and
+# 16,025 with STEP_SCALE and MOMENTUM. The 0 dB count is the cost that pair
+# takes at very low SNR, pinned so that it cannot grow unseen. The counts
+# were taken with OpenBLAS's AVX-512 sgemm; its Haswell, Sandybridge and
+# Katmai kernels gave counts up to 2 higher or lower, so the guard allows
+# 0.1% more.
+ACCEPTANCE_ITERATIONS = {10.0: 8318, 0.0: 16025}
 
 
-def test_nnls_takes_no_more_steps_on_the_acceptance_sequence():
-    frames = _semitone_frames(_acceptance_buffer(10.0))
+@pytest.mark.parametrize("snr_db", sorted(ACCEPTANCE_ITERATIONS))
+def test_nnls_takes_no_more_steps_on_the_acceptance_sequence(snr_db):
+    frames = _semitone_frames(_acceptance_buffer(snr_db))
     assert len(frames) == 171
     dictionary = build_note_dictionary()
     steps = sum(len(nnls_residual_history(f, dictionary)[1]) - 1 for f in frames)
-    assert steps <= ACCEPTANCE_10DB_ITERATIONS
+    assert steps <= ACCEPTANCE_ITERATIONS[snr_db] * 1.001
 
 
 def test_a_16_bit_wav_stays_float32_through_the_solve(tmp_path):
