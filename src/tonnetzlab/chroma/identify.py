@@ -97,27 +97,33 @@ def match_chords(chroma: np.ndarray, boundaries: np.ndarray) -> list[ChordEstima
     ]
 
 
+def pre_emphasize(samples: np.ndarray, coefficient: float) -> np.ndarray:
+    """The first-order filter y[n] = x[n] - c*x[n-1], which tilts energy
+    toward the upper harmonics; 0 returns ``samples`` as they are. A
+    coefficient outside [-1, 1], nan included, raises TonnetzlabError.
+    """
+    if not abs(coefficient) <= 1.0:  # also true for nan
+        raise TonnetzlabError(
+            f"pre-emphasis coefficient must lie in [-1, 1], got {coefficient}"
+        )
+    if not coefficient:
+        return samples
+    return np.concatenate((samples[:1], samples[1:] - coefficient * samples[:-1]))
+
+
 def identify(
     buffer: AudioBuffer, pre_emphasis: float = 0.0
 ) -> tuple[list[ChordEstimate], np.ndarray]:
     """Full pipeline from audio to chord segments.
 
-    ``pre_emphasis`` applies the first-order filter y[n] = x[n] - c*x[n-1]
-    before analysis, tilting energy toward the upper harmonics; 0 disables it.
-    A coefficient outside [-1, 1], nan included, raises TonnetzlabError.
-    Returns the segment list and the ``stft`` magnitudes (for optional image
-    export). Deterministic: identical samples produce identical segments.
+    ``pre_emphasis`` is the coefficient of ``pre_emphasize``, applied before
+    analysis; 0 disables it. Returns the segment list and the ``stft``
+    magnitudes, which cover the bins of the note range only.
+    Deterministic: identical samples produce identical segments.
     """
-    if not abs(pre_emphasis) <= 1.0:  # also true for nan
-        raise TonnetzlabError(
-            f"pre-emphasis coefficient must lie in [-1, 1], got {pre_emphasis}"
-        )
     samples, rate = buffer
-    if pre_emphasis:
-        samples = np.concatenate(
-            (samples[:1], samples[1:] - pre_emphasis * samples[:-1])
-        )
-    mags = stft(samples)
+    samples = pre_emphasize(samples, pre_emphasis)
+    mags = stft(samples, rate)
     activations = nnls_activations_batch(
         log_freq_map(mags, rate), build_note_dictionary()
     )

@@ -253,10 +253,8 @@ def _cmd_render_clocks(args: argparse.Namespace) -> int:
 
 
 def _cmd_chord_id(args: argparse.Namespace) -> int:
-    from .chroma.spectral import render_spectrogram_ppm
-
     buffer = load_wav(args.audio)
-    segments, mags = identify(buffer, pre_emphasis=args.pre_emphasis)
+    segments, _ = identify(buffer, pre_emphasis=args.pre_emphasis)
     lines = [
         json.dumps(
             {"label": s.label, "start_s": round(s.start, 6), "end_s": round(s.end, 6)},
@@ -266,6 +264,11 @@ def _cmd_chord_id(args: argparse.Namespace) -> int:
     ]
     _write_text(args.out, "\n".join(lines) + "\n")
     if args.spectrogram:
+        # identify keeps only the note range's bins; the image shows them all
+        from .chroma.identify import pre_emphasize
+        from .chroma.spectral import render_spectrogram_ppm, spectrogram
+
+        mags = spectrogram(pre_emphasize(buffer.samples, args.pre_emphasis))
         Path(args.spectrogram).write_bytes(render_spectrogram_ppm(mags))
     return 0
 

@@ -44,9 +44,11 @@ from tonnetzlab.chroma.spectral import (
     HOP,
     LOW_NOTE,
     WINDOW_SIZE,
+    _note_bins,
     frame_boundaries,
     log_freq_map,
     render_spectrogram_ppm,
+    spectrogram,
     stft,
 )
 from tonnetzlab.chroma.wavio import AudioBuffer, load_wav
@@ -188,27 +190,62 @@ def test_stft_sine_at_bin_center():
     bin_index = 100
     freq = bin_index * sr / window
     t = np.arange(sr) / sr
-    frame = stft(np.sin(2 * np.pi * freq * t))[2]
+    samples = np.sin(2 * np.pi * freq * t)
+    frame = spectrogram(samples)[2]
     assert frame.argmax() == bin_index
     peak = frame[bin_index]
     away = np.concatenate([frame[: bin_index - 1], frame[bin_index + 2 :]])
     # beyond the Hann main lobe everything sits at least 20 dB down
     assert away.max() < peak * 10 ** (-20 / 20)
+    bins = _note_bins(sr)[0]
+    assert stft(samples, sr)[2].argmax() == bin_index - bins.start
 
 
 def test_stft_zeros_and_frame_count():
-    mags = stft(np.zeros(4096 + 3 * 2048))
-    assert mags.shape == (4, 4096 // 2 + 1)
+    samples = np.zeros(4096 + 3 * 2048)
+    mags = stft(samples, 22050)
+    assert mags.shape == (4, 406)
     assert not mags.any()
+    assert spectrogram(samples).shape == (4, 4096 // 2 + 1)
 
 
 def test_stft_dc_concentrates_in_bin_zero():
-    assert (stft(np.full(8192, 0.5)).argmax(axis=1) == 0).all()
+    assert (spectrogram(np.full(8192, 0.5)).argmax(axis=1) == 0).all()
 
 
 def test_stft_too_short():
+    for transform in (lambda s: stft(s, 22050), spectrogram):
+        with pytest.raises(TonnetzlabError, match="^need at least 4096 samples, got 1024$"):
+            transform(np.zeros(1024))
+
+
+# stft reads the rate only once the samples cover a window
+@pytest.mark.parametrize("sample_rate", [4000, 9_084_000])
+def test_stft_reports_a_short_signal_before_a_bad_rate(sample_rate):
     with pytest.raises(TonnetzlabError, match="^need at least 4096 samples, got 1024$"):
-        stft(np.zeros(1024))
+        stft(np.zeros(1024), sample_rate)
+
+
+# numpy's rfft with the default norm runs float32 input through its float64
+# loop; stft must run the single-precision one. Its magnitudes then differ
+# from the rounded float64 ones, by a few float32 eps of the frame's maximum.
+def test_stft_runs_the_single_precision_transform():
+    frame = np.random.default_rng(5).standard_normal(WINDOW_SIZE).astype(np.float32)
+    windowed = frame * np.hanning(WINDOW_SIZE).astype(np.float32)
+    double = np.abs(np.fft.rfft(windowed.astype(np.float64)).astype(np.complex64))
+    got = stft(frame, 22050)[0]
+    expected = double[_note_bins(22050)[0]]
+    assert got.dtype == np.float32
+    assert not np.array_equal(got, expected)
+    eps = np.finfo(np.float32).eps
+    assert np.abs(got - expected).max() <= 8 * eps * double.max()
+
+
+# The single-precision, unnormalised transform: numpy's "forward" norm runs the
+# float32 loop (a float32 scale), and its 1/4096 is undone exactly, as a power
+# of two. The default norm would run the float64 loop instead.
+def _single_precision_rfft(windowed: np.ndarray) -> np.ndarray:
+    return np.fft.rfft(windowed, axis=1, norm="forward") * np.float32(WINDOW_SIZE)
 
 
 # The list-stacked framing that stft's strided view replaced, kept as the
@@ -221,14 +258,17 @@ def _reference_stft_frames(samples: np.ndarray) -> np.ndarray:
     stacked = np.stack(
         [samples[i * hop : i * hop + window_size] * window for i in range(count)]
     )
-    return np.abs(np.fft.rfft(stacked, axis=1))
+    return np.abs(_single_precision_rfft(stacked))
 
 
 @pytest.mark.parametrize("extra", [0, 1, 2047])
 def test_stft_matches_reference_framing_on_a_noisy_buffer(extra):
     buffer = _acceptance_buffer(noise_snr_db=10.0)
     samples = np.concatenate((buffer.samples, np.full(extra, 0.25)))
-    assert np.array_equal(stft(samples), _reference_stft_frames(samples))
+    expected = _reference_stft_frames(samples)
+    assert np.array_equal(spectrogram(samples), expected)
+    rate = buffer.sample_rate
+    assert np.array_equal(stft(samples, rate), expected[:, _note_bins(rate)[0]])
 
 
 # The whole-track product that stft's FRAME_BLOCK loop replaced, kept as the
@@ -236,16 +276,18 @@ def test_stft_matches_reference_framing_on_a_noisy_buffer(extra):
 def _reference_stft_magnitudes(samples: np.ndarray) -> np.ndarray:
     windows = sliding_window_view(samples.astype(np.float32), WINDOW_SIZE)[::HOP]
     window = np.hanning(WINDOW_SIZE).astype(np.float32)
-    return np.abs(np.fft.rfft(windows * window, axis=1))
+    return np.abs(_single_precision_rfft(windows * window))
 
 
 @pytest.mark.parametrize("count", [1, 63, 64, 65, 129, 688])
 def test_stft_matches_the_whole_track_product_at_block_edges(count):
     length = WINDOW_SIZE + (count - 1) * HOP
     samples = np.random.default_rng(count).standard_normal(length)
-    mags = stft(samples)
+    expected = _reference_stft_magnitudes(samples)
+    mags = stft(samples, 22050)
     assert len(mags) == count
-    assert np.array_equal(mags, _reference_stft_magnitudes(samples))
+    assert np.array_equal(mags, expected[:, _note_bins(22050)[0]])
+    assert np.array_equal(spectrogram(samples), expected)
 
 
 # ----------------------------------------------------------- log-freq map
@@ -257,7 +299,7 @@ def _sine_buffer(freq: float, sr: int = 22050, seconds: float = 0.75) -> AudioBu
 
 
 def _semitone_frames(buffer: AudioBuffer) -> np.ndarray:
-    return log_freq_map(stft(buffer.samples), buffer.sample_rate)
+    return log_freq_map(stft(buffer.samples, buffer.sample_rate), buffer.sample_rate)
 
 
 def test_log_freq_concert_a():
@@ -276,8 +318,13 @@ def test_log_freq_silence():
 
 
 def test_log_freq_rejects_low_sample_rate():
-    with pytest.raises(TonnetzlabError, match="^sample rate 4000 Hz is below 8 kHz"):
-        log_freq_map(stft(np.zeros(8192)), 4000)
+    for map_at in (lambda rate: stft(np.zeros(8192), rate), _map_at):
+        with pytest.raises(TonnetzlabError, match="^sample rate 4000 Hz is below 8 kHz"):
+            map_at(4000)
+
+
+def _map_at(sample_rate: int) -> np.ndarray:
+    return log_freq_map(np.zeros((1, 406), np.float32), sample_rate)
 
 
 # The full (notes x bins) triangle table that log_freq_map's slice of weighted
@@ -306,9 +353,9 @@ def _gamma(terms: np.ndarray, unit_roundoff: float) -> np.ndarray:
 # at 9.08 MHz only the first FFT bin lies in the top note's window
 @pytest.mark.parametrize("sample_rate", [8000, 22050, 44100, 9_080_000])
 def test_log_freq_map_matches_the_full_table(sample_rate):
-    mags = stft(_acceptance_buffer(noise_snr_db=10.0).samples)
-    expected, terms = _reference_log_freq_map(mags, sample_rate)
-    got = log_freq_map(mags, sample_rate)
+    samples = _acceptance_buffer(noise_snr_db=10.0).samples
+    expected, terms = _reference_log_freq_map(spectrogram(samples), sample_rate)
+    got = log_freq_map(stft(samples, sample_rate), sample_rate)
     assert got.shape == expected.shape
     assert got.dtype == np.float32
     # A note sums m = terms non-zero products; a zero weight adds an exact 0.
@@ -325,8 +372,9 @@ def test_log_freq_map_matches_the_full_table(sample_rate):
 @pytest.mark.parametrize("sample_rate", [9_084_000, 16_800_000, 2**31, 2**32 - 1])
 def test_log_freq_map_rejects_a_rate_with_no_bin_in_the_note_range(sample_rate):
     message = f"^sample rate {sample_rate} Hz puts no FFT bin in the note range$"
-    with pytest.raises(TonnetzlabError, match=message):
-        log_freq_map(stft(np.zeros(8192)), sample_rate)
+    for map_at in (lambda rate: stft(np.zeros(8192), rate), _map_at):
+        with pytest.raises(TonnetzlabError, match=message):
+            map_at(sample_rate)
 
 
 # ------------------------------------------------------------- dictionary
@@ -730,7 +778,7 @@ def test_float32_activations_give_the_labels_of_exact_nnls(snr_db):
     scipy_nnls = pytest.importorskip("scipy.optimize").nnls
     dictionary = build_note_dictionary()
     buffer = _acceptance_buffer(snr_db)
-    mags = stft(buffer.samples)
+    mags = stft(buffer.samples, buffer.sample_rate)
     frames = log_freq_map(mags, buffer.sample_rate)
     activations = nnls_activations_batch(frames, dictionary)
     assert activations.dtype == np.float32
@@ -781,7 +829,7 @@ def test_a_16_bit_wav_stays_float32_through_the_solve(tmp_path):
     buffer = _acceptance_buffer()
     write_wav(path, buffer.samples, buffer.sample_rate)
     samples, rate = load_wav(path)
-    mags = stft(samples)
+    mags = stft(samples, rate)
     frames = log_freq_map(mags, rate)
     dictionary = build_note_dictionary()
     activations = nnls_activations_batch(frames, dictionary)

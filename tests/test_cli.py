@@ -223,6 +223,47 @@ def test_chord_id_pre_emphasis_flag(tmp_path):
     assert [l["label"] for l in lines] == ["d"]
 
 
+def test_chord_id_spectrogram_draws_every_bin_of_the_pre_emphasised_signal(tmp_path):
+    from tonnetzlab.chroma.spectral import render_spectrogram_ppm
+    from tonnetzlab.chroma.wavio import load_wav
+
+    buf = synth.chord_sequence(
+        [parse_chord_symbol(t) for t in ("A", "d")], 1.0, noise_snr_db=30.0, seed=3
+    )
+    wav, ppm = tmp_path / "a.wav", tmp_path / "a.ppm"
+    write_wav(wav, buf.samples, buf.sample_rate)
+    argv = ("--out", tmp_path / "a.jsonl", "--spectrogram", ppm, "--pre-emphasis", "0.5")
+    assert _run("chord-id", wav, *argv) == 0
+
+    # the reference: numpy's single-precision FFT ("forward" norm selects it;
+    # the power-of-two scale is undone exactly) of the filtered float32 samples
+    def magnitudes(samples):
+        window = np.hanning(4096).astype(np.float32)
+        frames = np.lib.stride_tricks.sliding_window_view(samples, 4096)[::2048]
+        spectrum = np.fft.rfft(frames * window, axis=1, norm="forward")
+        return np.abs(spectrum * np.float32(4096))
+
+    samples = load_wav(wav).samples
+    filtered = np.concatenate((samples[:1], samples[1:] - 0.5 * samples[:-1]))
+    emphasised = magnitudes(filtered)
+    drawn = ppm.read_bytes()
+    assert drawn.split(b"\n")[1] == f"{len(emphasised)} 2049".encode()
+    assert drawn == render_spectrogram_ppm(emphasised)
+    assert drawn != render_spectrogram_ppm(magnitudes(samples))
+
+
+@pytest.mark.parametrize("sample_rate", [22050, 4000])
+def test_chord_id_too_short_wav_with_a_spectrogram_is_a_one_line_error(
+    tmp_path, capsys, sample_rate
+):
+    wav, ppm = tmp_path / "short.wav", tmp_path / "short.ppm"
+    write_wav(wav, np.zeros(1024), sample_rate)
+    assert _run("chord-id", wav, "--spectrogram", ppm) == 2
+    line = _assert_one_line_error(capsys)
+    assert line == "tonnetzlab: error: need at least 4096 samples, got 1024\n"
+    assert not ppm.exists()
+
+
 @pytest.mark.parametrize("coefficient", ["nan", "inf", "-inf", "1e308", "1.5", "-1.01"])
 def test_chord_id_rejects_a_pre_emphasis_outside_unit_range(
     tmp_path, capsys, coefficient

@@ -8,8 +8,9 @@ charts, the same on two small charts in 3/4 and 6/8 (the bundled charts are
 both 4/4, so these pin the clock faces of 6 and 12 hours), and ``chord-id``
 (JSONL, plus the PPM spectrogram and a pre-emphasised run) on the synthesized
 8-chord acceptance sequence. The audio hashes rest on
-the rounding of numpy's float32 FFT and matrix products; they were recorded
-with numpy 2.4 on x86-64.
+the rounding of numpy's single-precision FFT (its float32 loop, which
+``spectral`` selects with ``norm="forward"``) and of the float32 matrix
+products; they were recorded with numpy 2.4 and OpenBLAS on x86-64.
 
 One more hash covers a seeded corpus of generated charts: ``analyze`` with and
 without ``--key``, and ``render-tonnetz`` and ``render-clocks`` on every
@@ -173,7 +174,7 @@ GOLDEN = {
         "jsonl":
             "af54eadd71b9356217675179b0f87e691ecdc5b36e406f16ece46b0ab20d8752",
         "ppm":
-            "1b40853ecb374b5632e3fc43b9e4e213eec8404e4b4bb448ce12587972ccbe4a",
+            "4c10730dfb26609528068070b2cfb51247b6d2a80ebde6fa5dfba42affd1f90b",
         "jsonl --pre-emphasis 0.5":
             "af54eadd71b9356217675179b0f87e691ecdc5b36e406f16ece46b0ab20d8752",
     },
