@@ -131,8 +131,8 @@ def log_freq_map(mags: np.ndarray, sample_rate: int) -> np.ndarray:
 
 
 def render_spectrogram_ppm(mags: np.ndarray) -> bytes:
-    """Binary P6 PPM of ``spectrogram`` magnitudes: one pixel column per frame, low
-    frequencies at the bottom.
+    """Binary P6 PPM of ``spectrogram`` magnitudes: one pixel column per
+    frame, low frequencies at the bottom.
 
     Values are log-compressed: v -> 255 * log(1 + GAMMA*v) / log(1 + GAMMA*vmax).
     """

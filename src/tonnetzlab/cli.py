@@ -254,7 +254,7 @@ def _cmd_render_clocks(args: argparse.Namespace) -> int:
 
 def _cmd_chord_id(args: argparse.Namespace) -> int:
     buffer = load_wav(args.audio)
-    segments, _ = identify(buffer, pre_emphasis=args.pre_emphasis)
+    segments = identify(buffer, pre_emphasis=args.pre_emphasis)[0]
     lines = [
         json.dumps(
             {"label": s.label, "start_s": round(s.start, 6), "end_s": round(s.end, 6)},
