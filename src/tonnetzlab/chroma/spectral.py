@@ -57,13 +57,13 @@ def _magnitudes(frames: np.ndarray, bins: slice) -> np.ndarray:
     of two, hence exact, so the spectrum is the unnormalised float32
     transform. Only the bins asked for are rectified.
     """
-    count, width = len(frames), len(range(WINDOW_SIZE // 2 + 1)[bins])
+    count = len(frames)
     window = np.hanning(WINDOW_SIZE).astype(WORK_DTYPE) * WINDOW_SIZE
     windowed = np.empty((min(count, FRAME_BLOCK), WINDOW_SIZE), WORK_DTYPE)
     spectrum = np.empty(
         (len(windowed), WINDOW_SIZE // 2 + 1), np.result_type(WORK_DTYPE, 1j)
     )
-    mags = np.empty((count, width), WORK_DTYPE)
+    mags = np.empty((count, bins.stop - bins.start), WORK_DTYPE)
     for start in range(0, count, FRAME_BLOCK):
         block = frames[start : start + FRAME_BLOCK]
         rows = len(block)
@@ -111,7 +111,7 @@ def stft(samples: np.ndarray, sample_rate: int) -> np.ndarray:
 def spectrogram(samples: np.ndarray) -> np.ndarray:
     """Magnitudes of all WINDOW_SIZE // 2 + 1 bins of every frame, for
     ``render_spectrogram_ppm``: the transform of ``stft``, every bin kept."""
-    return _magnitudes(_frames(samples), slice(None))
+    return _magnitudes(_frames(samples), slice(0, WINDOW_SIZE // 2 + 1))
 
 
 def log_freq_map(mags: np.ndarray, sample_rate: int) -> np.ndarray:
